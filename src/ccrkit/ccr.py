@@ -17,19 +17,18 @@ from .core import (
     DEFAULT_TOL,
     DensityOperator,
     Tolerances,
+    _check_target,
+    _require_pure,
     linear_entropy,
     partial_trace,
-    purity,
     von_neumann_entropy,
 )
-from .errors import PreconditionError, ValidationError
 from .measures import (
     MeasureKind,
     MeasureValue,
     _nonlocal_hs_sum,
     coherence_hs,
     coherence_re,
-    nonlocal_coherence_hs_direct,
     predictability_hs,
     predictability_vn,
 )
@@ -81,22 +80,6 @@ def _assemble(
     )
 
 
-def _check_target(rho: DensityOperator, target: int, *, need_partner: bool) -> int:
-    n = len(rho.signature.dims)
-    target = int(target)
-    if not 0 <= target < n:
-        raise ValidationError(f"target subsystem {target} out of range for {n} subsystems")
-    if need_partner and n < 2:
-        raise ValidationError("this CCR flavor needs at least 2 subsystems")
-    return target
-
-
-def _require_pure(rho: DensityOperator, tol: Tolerances, hint: str) -> None:
-    p = purity(rho)
-    if abs(p - 1.0) > tol.purity_atol:
-        raise PreconditionError(f"global state is mixed (Tr rho^2 = {p!r}); {hint}")
-
-
 def ccr_hs(rho_full: DensityOperator, target: int, *, tol: Tolerances | None = None) -> CCRReport:
     """Hilbert-Schmidt balance P_hs + C_hs + C_nl_hs = (d - 1)/d for pure global states."""
     tol = tol or DEFAULT_TOL
@@ -104,12 +87,13 @@ def ccr_hs(rho_full: DensityOperator, target: int, *, tol: Tolerances | None = N
     _require_pure(rho_full, tol, "use ccr_mixedness for the mixed-state form")
     reduced = partial_trace(rho_full, [target])
     d_t = rho_full.signature.dims[target]
+    bound = (d_t - 1) / d_t
     return _assemble(
         target,
         predictability_hs(reduced),
         coherence_hs(reduced),
-        nonlocal_coherence_hs_direct(rho_full, target, tol=tol),
-        (d_t - 1) / d_t,
+        MeasureValue(_nonlocal_hs_sum(rho_full, target), bound, MeasureKind.C_NL_HS),
+        bound,
         CCRFlavor.HS_PURE,
     )
 
@@ -137,7 +121,7 @@ def ccr_vn(rho_full: DensityOperator, target: int, *, tol: Tolerances | None = N
     )
 
 
-def ccr_mixedness(rho_any: DensityOperator, target: int, *, tol: Tolerances | None = None) -> CCRReport:
+def ccr_mixedness(rho_any: DensityOperator, target: int) -> CCRReport:
     """Balance P_hs + C_hs + S_l = (d - 1)/d on the reduced target state.
 
     Holds identically for any valid state, pure or mixed, because
@@ -160,7 +144,7 @@ def ccr_mixedness(rho_any: DensityOperator, target: int, *, tol: Tolerances | No
     )
 
 
-def ccr_inequality_gap(rho_any: DensityOperator, target: int, *, tol: Tolerances | None = None) -> float:
+def ccr_inequality_gap(rho_any: DensityOperator, target: int) -> float:
     """(d - 1)/d minus the pure-state balance evaluated on an arbitrary state.
 
     Zero (within roundoff) exactly when the global state is pure; positive

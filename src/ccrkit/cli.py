@@ -4,14 +4,16 @@ Three subcommands: ``check`` evaluates one complementarity balance and
 exits 0 when the residual is below tolerance, ``sweep`` tabulates measures
 over a parameter grid to CSV, and ``audit`` runs a balance over a
 Haar-random ensemble.  Exit codes: 0 pass, 1 residual over tolerance,
-2 input error, 3 precondition error (for example a mixed state fed to a
-pure-only flavor).
+2 input error (including NaN or infinite state data and a tolerance that
+is not a finite number >= 0), 3 precondition error (for example a mixed
+state fed to a pure-only flavor).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -282,15 +284,16 @@ def _load_state(args) -> PureState | DensityOperator:
 
 
 def _resolve_tolerance(args) -> float:
-    if args.tolerance is not None:
-        return float(args.tolerance)
-    raw = os.environ.get(TOLERANCE_ENV)
+    raw = os.environ.get(TOLERANCE_ENV) if args.tolerance is None else args.tolerance
     if raw is None:
         return DEFAULT_CHECK_TOLERANCE
     try:
-        return float(raw)
+        tolerance = float(raw)
     except ValueError as exc:
         raise ValidationError(f"{TOLERANCE_ENV} must be a float, got {raw!r}") from exc
+    if not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise ValidationError(f"tolerance must be a finite number >= 0, got {raw!r}")
+    return tolerance
 
 
 def _report_to_dict(report: CCRReport) -> dict:

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, NumericError, ValidationError
+from .errors import CapacityError, NumericError, PreconditionError, ValidationError
 
 __all__ = [
     "Tolerances",
@@ -116,6 +116,8 @@ class PureState:
                 f"amplitude vector has shape {amps.shape}, expected ({signature.total},) "
                 f"for signature {signature.dims}"
             )
+        if not np.all(np.isfinite(amps)):
+            raise ValidationError("amplitude vector has NaN or infinite entries")
         norm_sq = float(np.vdot(amps, amps).real)
         if abs(norm_sq - 1.0) > tol.norm_atol:
             raise ValidationError(f"state vector is not normalized: sum |a|^2 = {norm_sq!r}")
@@ -145,6 +147,8 @@ class DensityOperator:
             raise ValidationError(
                 f"matrix has shape {mat.shape}, expected ({d}, {d}) for signature {signature.dims}"
             )
+        if not np.all(np.isfinite(mat)):
+            raise ValidationError("matrix has NaN or infinite entries")
         herm_defect = float(np.max(np.abs(mat - mat.conj().T)))
         if herm_defect > tol.norm_atol:
             raise ValidationError(f"matrix is not Hermitian: max |rho - rho^dag| = {herm_defect!r}")
@@ -213,7 +217,40 @@ def density_from_pure(psi: PureState) -> DensityOperator:
     return _density_unchecked(psi.signature, np.outer(psi.amplitudes, psi.amplitudes.conj()))
 
 
-def partial_trace(rho: DensityOperator, keep: Iterable[int], *, tol: Tolerances | None = None) -> DensityOperator:
+def _check_target(rho: DensityOperator, target: int, *, need_partner: bool) -> int:
+    """``target`` as an int naming a subsystem of rho; ``need_partner`` also requires a second one."""
+    n = len(rho.signature.dims)
+    target = int(target)
+    if not 0 <= target < n:
+        raise ValidationError(f"target subsystem {target} out of range for {n} subsystems")
+    if need_partner and n < 2:
+        raise ValidationError("a correlation term needs at least 2 subsystems")
+    return target
+
+
+def _require_pure(rho: DensityOperator, tol: Tolerances, hint: str) -> None:
+    """Raise PreconditionError, ending with ``hint``, unless Tr rho^2 = 1."""
+    p = purity(rho)
+    if abs(p - 1.0) > tol.purity_atol:
+        raise PreconditionError(f"global state is not pure (Tr rho^2 = {p!r}); {hint}")
+
+
+def _block_view(rho: DensityOperator, left: Sequence[int], right: Sequence[int]) -> np.ndarray:
+    """rho as a (d_left, d_right, d_left, d_right) array; each side flattened in the order given."""
+    dims = rho.signature.dims
+    n = len(dims)
+    shape = (math.prod(dims[m] for m in left), math.prod(dims[m] for m in right))
+    perm = [*left, *right, *(n + m for m in left), *(n + m for m in right)]
+    return rho.matrix.reshape(dims + dims).transpose(perm).reshape(shape + shape)
+
+
+def _entropy(p: np.ndarray) -> float:
+    """-sum p ln p over the positive entries of p (natural log)."""
+    p = p[p > 0.0]
+    return float(-np.sum(p * np.log(p)))
+
+
+def partial_trace(rho: DensityOperator, keep: Iterable[int]) -> DensityOperator:
     """Trace out every subsystem not listed in ``keep``.
 
     Parameters
@@ -340,9 +377,7 @@ def hermitian_spectrum(rho: DensityOperator, *, tol: Tolerances | None = None) -
 
 def von_neumann_entropy(rho: DensityOperator, *, tol: Tolerances | None = None) -> float:
     """-sum lambda ln lambda over the spectrum (natural log, 0 ln 0 = 0)."""
-    w = hermitian_spectrum(rho, tol=tol).eigenvalues
-    w = w[w > 0.0]
-    return float(-np.sum(w * np.log(w)))
+    return _entropy(hermitian_spectrum(rho, tol=tol).eigenvalues)
 
 
 def dephased(rho: DensityOperator) -> DensityOperator:

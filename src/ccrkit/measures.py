@@ -20,13 +20,15 @@ from .core import (
     DEFAULT_TOL,
     DensityOperator,
     Tolerances,
-    dephased,
+    _block_view,
+    _check_target,
+    _entropy,
+    _require_pure,
     linear_entropy,
     partial_trace,
-    purity,
     von_neumann_entropy,
 )
-from .errors import PreconditionError, ValidationError
+from .errors import ValidationError
 
 __all__ = [
     "MEASURE_ATOL",
@@ -116,9 +118,7 @@ def predictability_hs(rho: DensityOperator) -> MeasureValue:
 def predictability_vn(rho: DensityOperator) -> MeasureValue:
     """ln d + sum_i rho_ii ln rho_ii (0 ln 0 = 0), bounded by ln d."""
     d = rho.signature.total
-    p = _diag_probs(rho)
-    p = p[p > 0.0]
-    return MeasureValue(math.log(d) + float(np.sum(p * np.log(p))), math.log(d), MeasureKind.P_VN)
+    return MeasureValue(math.log(d) - _entropy(_diag_probs(rho)), math.log(d), MeasureKind.P_VN)
 
 
 def predictability_l1(rho: DensityOperator) -> MeasureValue:
@@ -145,27 +145,13 @@ def coherence_l1(rho: DensityOperator) -> MeasureValue:
 
 def coherence_re(rho: DensityOperator, *, tol: Tolerances | None = None) -> MeasureValue:
     """S_vn(diag(rho)) - S_vn(rho), the relative entropy of coherence; bound ln d."""
-    value = von_neumann_entropy(dephased(rho), tol=tol) - von_neumann_entropy(rho, tol=tol)
+    # Descending, the order of hermitian_spectrum, so this matches S_vn(dephased(rho)) bit for bit.
+    dephased_entropy = _entropy(np.sort(_diag_probs(rho))[::-1])
+    value = dephased_entropy - von_neumann_entropy(rho, tol=tol)
     return MeasureValue(value, math.log(rho.signature.total), MeasureKind.C_RE)
 
 
-def _check_target(rho: DensityOperator, target: int) -> int:
-    n = len(rho.signature.dims)
-    target = int(target)
-    if not 0 <= target < n:
-        raise ValidationError(f"target subsystem {target} out of range for {n} subsystems")
-    if n < 2:
-        raise ValidationError("non-local coherence needs at least 2 subsystems")
-    return target
-
-
-def _require_pure(rho: DensityOperator, tol: Tolerances) -> None:
-    p = purity(rho)
-    if abs(p - 1.0) > tol.purity_atol:
-        raise PreconditionError(
-            f"global state is not pure (Tr rho^2 = {p!r}); "
-            "this form is only meaningful under global purity"
-        )
+_PURE_ONLY = "this form is only meaningful under global purity"
 
 
 def _nonlocal_hs_sum(rho_full: DensityOperator, target: int) -> float:
@@ -175,14 +161,9 @@ def _nonlocal_hs_sum(rho_full: DensityOperator, target: int) -> float:
     running over the target subsystem and I, J over the joint index of all
     remaining subsystems.
     """
-    dims = rho_full.signature.dims
-    n = len(dims)
-    others = [m for m in range(n) if m != target]
-    d_t = dims[target]
-    rest = math.prod(dims[m] for m in others)
-    tensor = rho_full.matrix.reshape(dims + dims)
-    perm = [target] + others + [n + target] + [n + m for m in others]
-    block = np.transpose(tensor, perm).reshape(d_t, rest, d_t, rest)
+    others = [m for m in range(len(rho_full.signature.dims)) if m != target]
+    block = _block_view(rho_full, [target], others)
+    d_t, rest = block.shape[:2]
     # rho_{iI,jI}: diagonal in the rest index.
     rest_diag = np.einsum("ixjx->ijx", block)
     abs_sq = np.abs(block.transpose(0, 2, 1, 3)) ** 2
@@ -204,8 +185,8 @@ def nonlocal_coherence_hs_direct(
     index of the remaining subsystems.
     """
     tol = tol or DEFAULT_TOL
-    target = _check_target(rho_full, target)
-    _require_pure(rho_full, tol)
+    target = _check_target(rho_full, target, need_partner=True)
+    _require_pure(rho_full, tol, _PURE_ONLY)
     d_t = rho_full.signature.dims[target]
     return MeasureValue(_nonlocal_hs_sum(rho_full, target), (d_t - 1) / d_t, MeasureKind.C_NL_HS)
 
@@ -219,8 +200,8 @@ def nonlocal_coherence_hs_via_entropy(
     which makes the two routes independent cross-checks of each other.
     """
     tol = tol or DEFAULT_TOL
-    target = _check_target(rho_full, target)
-    _require_pure(rho_full, tol)
+    target = _check_target(rho_full, target, need_partner=True)
+    _require_pure(rho_full, tol, _PURE_ONLY)
     d_t = rho_full.signature.dims[target]
     value = linear_entropy(partial_trace(rho_full, [target]))
     return MeasureValue(value, (d_t - 1) / d_t, MeasureKind.C_NL_HS)
@@ -292,13 +273,8 @@ def satisfies_offdiag_conditions(
     across the bipartition is non-negative.
     """
     left, right = _split_bipartition(rho_full, bipartition)
-    dims = rho_full.signature.dims
-    n = len(dims)
-    dim_left = math.prod(dims[m] for m in left)
-    dim_right = math.prod(dims[m] for m in right)
-    tensor = rho_full.matrix.reshape(dims + dims)
-    perm = left + right + [n + m for m in left] + [n + m for m in right]
-    block = np.transpose(tensor, perm).reshape(dim_left, dim_right, dim_left, dim_right)
+    block = _block_view(rho_full, left, right)
+    dim_left, dim_right = block.shape[:2]
 
     terms_left = np.einsum("ijkj->ikj", block)
     lhs = np.abs(terms_left.sum(axis=-1)) ** 2

@@ -40,6 +40,58 @@ def brute_partial_trace(matrix, dims, keep):
     return out
 
 
+def _split_index(dims, left, right):
+    """Map (left multi-index, right multi-index) to the flat index over dims."""
+    n = len(dims)
+
+    def flat(a, b):
+        multi = [0] * n
+        for pos, m in enumerate(left):
+            multi[m] = a[pos]
+        for pos, m in enumerate(right):
+            multi[m] = b[pos]
+        return flatten_index(multi, dims)
+
+    return flat
+
+
+def brute_nonlocal_sum(matrix, dims, target):
+    """Index-partition sum by explicit summation; oracle for the block-view route.
+
+    Adds |rho_{iI,jJ}|^2 - rho_{iI,jI} rho*_{iJ,jJ} term by term over target
+    indices i != j and multi-indices I != J of the remaining subsystems.
+    """
+    others = [m for m in range(len(dims)) if m != target]
+    flat = _split_index(dims, [target], others)
+    rest = list(itertools.product(*[range(dims[m]) for m in others]))
+    total = 0.0 + 0.0j
+    for i, j in itertools.permutations(range(dims[target]), 2):
+        for big_i, big_j in itertools.permutations(rest, 2):
+            total += abs(matrix[flat((i,), big_i), flat((j,), big_j)]) ** 2
+            total -= matrix[flat((i,), big_i), flat((j,), big_i)] * np.conj(
+                matrix[flat((i,), big_j), flat((j,), big_j)]
+            )
+    return total.real
+
+
+def brute_offdiag_defect(matrix, dims, left):
+    """Largest violation of the off-diagonal conditions, by explicit summation.
+
+    The maximum of | |sum_j rho_{ij,kj}|^2 - sum_j |rho_{ij,kj}|^2 | over
+    left pairs i != k, and of the mirrored quantity over right pairs j != l.
+    """
+    right = [m for m in range(len(dims)) if m not in left]
+    flat = _split_index(dims, left, right)
+    left_idx = list(itertools.product(*[range(dims[m]) for m in left]))
+    right_idx = list(itertools.product(*[range(dims[m]) for m in right]))
+    term_lists = [
+        [matrix[flat(i, j), flat(k, j)] for j in right_idx] for i, k in itertools.permutations(left_idx, 2)
+    ] + [
+        [matrix[flat(i, j), flat(i, l)] for i in left_idx] for j, l in itertools.permutations(right_idx, 2)
+    ]
+    return max(abs(abs(sum(terms)) ** 2 - sum(abs(t) ** 2 for t in terms)) for terms in term_lists)
+
+
 def random_density_matrix(d, rng, rank=None):
     """Random mixed state G G^dag / Tr(...) with i.i.d. complex Gaussian G."""
     rank = rank or d

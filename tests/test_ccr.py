@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import random_density_matrix
+from helpers import brute_nonlocal_sum, brute_partial_trace, random_density_matrix, random_pure_vector
 
 from ccrkit import (
     CCRFlavor,
@@ -20,6 +20,7 @@ from ccrkit import (
     concurrence_generalized,
     correlated_coherence,
     density_from_pure,
+    nonlocal_coherence_hs_direct,
     partial_trace,
     predictability_hs,
     predictability_l1,
@@ -226,6 +227,24 @@ def test_gap_nonnegative_on_random_mixed_states():
             rho = DensityOperator(dims, random_density_matrix(d, rng, rank=int(rng.integers(1, d + 1))))
             for target in range(len(dims)):
                 assert ccr_inequality_gap(rho, target) >= -1e-10
+
+
+@pytest.mark.parametrize("dims", [(3, 2), (2, 3, 2)])
+def test_index_partition_sum_matches_literal_oracle(dims):
+    rng = np.random.default_rng(sum(dims))
+    d = math.prod(dims)
+    mixed = DensityOperator(dims, random_density_matrix(d, rng))
+    pure = density_from_pure(PureState(dims, random_pure_vector(d, rng)))
+    for rho in (mixed, pure):
+        for target in range(len(dims)):
+            literal = brute_nonlocal_sum(rho.matrix, dims, target)
+            assert abs(literal) > 1e-3
+            reduced = brute_partial_trace(rho.matrix, dims, [target])
+            # P_hs + C_hs = Tr rho_t^2 - 1/d, so the gap is 1 - Tr rho_t^2 - sum.
+            expected_gap = 1.0 - np.vdot(reduced, reduced).real - literal
+            assert ccr_inequality_gap(rho, target) == pytest.approx(expected_gap, abs=1e-12)
+            if rho is pure:
+                assert nonlocal_coherence_hs_direct(rho, target).value == pytest.approx(literal, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -140,6 +140,20 @@ def test_check_mixed_state_with_pure_flavor_exits_3(tmp_path):
     assert main(["check", "--file", path, "--flavor", "mixedness"]) == EXIT_OK
 
 
+@pytest.mark.parametrize("flavor", ["hs", "vn", "mixedness"])
+@pytest.mark.parametrize("kind, bad", [("pure", math.nan), ("density", math.nan), ("density", math.inf)])
+def test_check_non_finite_file_exits_2(tmp_path, capsys, flavor, kind, bad):
+    if kind == "pure":
+        doc = {**BELL_DOC, "data": [[bad, 0.0]] + BELL_DOC["data"][1:]}
+    else:
+        rows = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+        rows[0][1] = rows[1][0] = [bad, 0.0]
+        doc = {"dims": [2, 2], "kind": "density", "data": rows}
+    path = write_json(tmp_path / "bad.json", doc)
+    assert main(["check", "--file", path, "--flavor", flavor, "--json"]) == EXIT_INPUT
+    assert "NaN or infinite" in capsys.readouterr().err
+
+
 def test_check_malformed_file_exits_2(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
@@ -335,6 +349,14 @@ def test_audit_env_tolerance_default(monkeypatch):
     )
 
 
-def test_audit_invalid_env_tolerance(monkeypatch):
-    monkeypatch.setenv("CCRKIT_TOLERANCE", "lots")
-    assert main("audit --dims 2,2 --count 5 --seed 3 --flavor hs".split()) == EXIT_INPUT
+@pytest.mark.parametrize(
+    "raw, via",
+    [("lots", "env")] + [(raw, via) for raw in ("nan", "inf", "-1") for via in ("env", "flag")],
+)
+def test_audit_invalid_env_tolerance(monkeypatch, raw, via):
+    argv = "audit --dims 2,2 --count 5 --seed 3 --flavor hs".split()
+    if via == "env":
+        monkeypatch.setenv("CCRKIT_TOLERANCE", raw)
+    else:
+        argv.append(f"--tolerance={raw}")
+    assert main(argv) == EXIT_INPUT

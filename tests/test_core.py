@@ -70,6 +70,20 @@ def test_pure_state_rejects_shape_mismatch():
         PureState((2, 2), [1.0, 0.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_pure_state_rejects_non_finite(bad):
+    with pytest.raises(ValidationError, match="NaN or infinite"):
+        PureState((2,), [bad, 0.5])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_density_rejects_non_finite(bad):
+    m = np.eye(2, dtype=complex) / 2
+    m[0, 1] = bad
+    with pytest.raises(ValidationError, match="NaN or infinite"):
+        DensityOperator((2,), m)
+
+
 def test_pure_state_is_immutable():
     psi = PureState((2,), [1.0, 0.0])
     with pytest.raises(ValueError):

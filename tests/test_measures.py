@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import random_density_matrix, xlogx
+from helpers import brute_offdiag_defect, random_density_matrix, xlogx
 
 from ccrkit import (
     CoherenceKind,
@@ -382,6 +382,18 @@ def test_conditions_hold_for_diagonal_products():
         [DensityOperator((2,), np.diag([0.2, 0.8])), DensityOperator((3,), np.diag([0.5, 0.3, 0.2]))]
     )
     assert satisfies_offdiag_conditions(joint, ([0], [1]))
+
+
+def test_conditions_on_uneven_bipartition_match_literal_oracle():
+    # Qutrit in the middle against the two outer qubits: a split the block view must permute.
+    dims, left, right = (2, 3, 2), [1], [0, 2]
+    rng = np.random.default_rng(16)
+    for _ in range(5):
+        rho = DensityOperator(dims, random_density_matrix(12, rng))
+        defect = brute_offdiag_defect(rho.matrix, dims, left)
+        # The verdict flips exactly at the literal defect, so it pins the computed one.
+        assert satisfies_offdiag_conditions(rho, (left, right), atol=defect * (1 + 1e-9))
+        assert not satisfies_offdiag_conditions(rho, (left, right), atol=defect * (1 - 1e-9))
 
 
 # ---------------------------------------------------------------------------
