@@ -5,6 +5,9 @@ coherence, and a correlation term add up exactly to a dimensional bound;
 for arbitrary (possibly mixed) states the balance closes instead with the
 local mixedness, and for a mixed global state the pure-state form leaves a
 non-negative information gap.
+
+The three balances take a PureState or a DensityOperator.  A PureState is
+worked on from its amplitudes and never expanded to |psi><psi|.
 """
 
 from __future__ import annotations
@@ -16,8 +19,10 @@ from dataclasses import dataclass
 from .core import (
     DEFAULT_TOL,
     DensityOperator,
+    PureState,
     Tolerances,
     _check_target,
+    _reduce_target,
     _require_pure,
     linear_entropy,
     partial_trace,
@@ -80,12 +85,14 @@ def _assemble(
     )
 
 
-def ccr_hs(rho_full: DensityOperator, target: int, *, tol: Tolerances | None = None) -> CCRReport:
+def ccr_hs(
+    rho_full: PureState | DensityOperator, target: int, *, tol: Tolerances | None = None
+) -> CCRReport:
     """Hilbert-Schmidt balance P_hs + C_hs + C_nl_hs = (d - 1)/d for pure global states."""
     tol = tol or DEFAULT_TOL
     target = _check_target(rho_full, target, need_partner=True)
     _require_pure(rho_full, tol, "use ccr_mixedness for the mixed-state form")
-    reduced = partial_trace(rho_full, [target])
+    reduced = _reduce_target(rho_full, target)
     d_t = rho_full.signature.dims[target]
     bound = (d_t - 1) / d_t
     return _assemble(
@@ -98,7 +105,9 @@ def ccr_hs(rho_full: DensityOperator, target: int, *, tol: Tolerances | None = N
     )
 
 
-def ccr_vn(rho_full: DensityOperator, target: int, *, tol: Tolerances | None = None) -> CCRReport:
+def ccr_vn(
+    rho_full: PureState | DensityOperator, target: int, *, tol: Tolerances | None = None
+) -> CCRReport:
     """Entropic balance C_re + P_vn + S_vn = ln d on the target-vs-rest split.
 
     Reading S_vn of the reduced state as entanglement requires the global
@@ -107,7 +116,7 @@ def ccr_vn(rho_full: DensityOperator, target: int, *, tol: Tolerances | None = N
     tol = tol or DEFAULT_TOL
     target = _check_target(rho_full, target, need_partner=True)
     _require_pure(rho_full, tol, "the entropic CCR requires a pure global state")
-    reduced = partial_trace(rho_full, [target])
+    reduced = _reduce_target(rho_full, target)
     d_t = rho_full.signature.dims[target]
     bound = math.log(d_t)
     entanglement = MeasureValue(von_neumann_entropy(reduced, tol=tol), bound, MeasureKind.S_VN)
@@ -121,7 +130,7 @@ def ccr_vn(rho_full: DensityOperator, target: int, *, tol: Tolerances | None = N
     )
 
 
-def ccr_mixedness(rho_any: DensityOperator, target: int) -> CCRReport:
+def ccr_mixedness(rho_any: PureState | DensityOperator, target: int) -> CCRReport:
     """Balance P_hs + C_hs + S_l = (d - 1)/d on the reduced target state.
 
     Holds identically for any valid state, pure or mixed, because
@@ -130,7 +139,7 @@ def ccr_mixedness(rho_any: DensityOperator, target: int) -> CCRReport:
     origin (correlations or environment noise).
     """
     target = _check_target(rho_any, target, need_partner=False)
-    reduced = partial_trace(rho_any, [target])
+    reduced = _reduce_target(rho_any, target)
     d_t = rho_any.signature.dims[target]
     bound = (d_t - 1) / d_t
     mixedness = MeasureValue(linear_entropy(reduced), bound, MeasureKind.S_L)

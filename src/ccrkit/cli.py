@@ -4,9 +4,15 @@ Three subcommands: ``check`` evaluates one complementarity balance and
 exits 0 when the residual is below tolerance, ``sweep`` tabulates measures
 over a parameter grid to CSV, and ``audit`` runs a balance over a
 Haar-random ensemble.  Exit codes: 0 pass, 1 residual over tolerance,
-2 input error (including NaN or infinite state data and a tolerance that
-is not a finite number >= 0), 3 precondition error (for example a mixed
-state fed to a pure-only flavor).
+2 input error (including NaN or infinite state data, a tolerance that is
+not a finite number >= 0, and a state file or audit signature whose total
+dimension exceeds ``Tolerances.max_total_dim``), 3 precondition error (for
+example a mixed state fed to a pure-only flavor), 4 numeric failure (an
+eigensolver that does not converge, or a measure that comes out NaN or
+infinite).
+
+``check`` and ``audit`` hand pure states to the balances as amplitudes;
+neither builds the D x D density |psi><psi| for pure input.
 """
 
 from __future__ import annotations
@@ -23,9 +29,11 @@ import numpy as np
 
 from .ccr import CCRReport, ccr_hs, ccr_mixedness, ccr_vn
 from .core import (
+    DEFAULT_TOL,
     DensityOperator,
     DimensionSignature,
     PureState,
+    _require_capacity,
     density_from_pure,
     linear_entropy,
     partial_trace,
@@ -63,6 +71,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
+EXIT_NUMERIC = 4
 
 _FLAVOR_FUNCS = {"hs": ccr_hs, "vn": ccr_vn, "mixedness": ccr_mixedness}
 
@@ -80,7 +89,8 @@ def parse_state_file(data: bytes) -> PureState | DensityOperator:
 
     The document must carry ``dims`` (array of integers), ``kind`` ("pure"
     or "density"), and ``data``: a vector of [re, im] pairs for pure states,
-    or an array of such rows for density matrices.
+    or an array of such rows for density matrices.  A ``dims`` whose product
+    exceeds ``max_total_dim`` raises CapacityError before ``data`` is read.
     """
     try:
         doc = json.loads(data.decode("utf-8"))
@@ -96,6 +106,7 @@ def parse_state_file(data: bytes) -> PureState | DensityOperator:
         raise ValidationError("dims must be a nonempty array of integers")
     signature = DimensionSignature(tuple(dims))
     total = signature.total
+    _require_capacity(total, DEFAULT_TOL)
     kind = doc["kind"]
     if kind == "pure":
         return PureState(signature, _complex_vector(doc["data"], total, "data"))
@@ -314,7 +325,7 @@ def _report_to_dict(report: CCRReport) -> dict:
 
 def _print_report(report: CCRReport, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(_report_to_dict(report)))
+        print(json.dumps(_report_to_dict(report), allow_nan=False))
         return
     print(f"flavor    {report.flavor.value}")
     print(f"target    {report.target}")
@@ -328,8 +339,7 @@ def _print_report(report: CCRReport, as_json: bool) -> None:
 def cmd_check(args) -> int:
     tolerance = _resolve_tolerance(args)
     state = _load_state(args)
-    rho = density_from_pure(state) if isinstance(state, PureState) else state
-    report = _FLAVOR_FUNCS[args.flavor](rho, args.target)
+    report = _FLAVOR_FUNCS[args.flavor](state, args.target)
     _print_report(report, args.json)
     return EXIT_OK if abs(report.residual) < tolerance else EXIT_FAIL
 
@@ -368,14 +378,14 @@ def cmd_audit(args) -> int:
     if len(dims) < 2:
         raise ValidationError(f"CCR auditing needs at least 2 subsystems, got dims {dims}")
     signature = DimensionSignature(dims)
+    _require_capacity(signature.total, DEFAULT_TOL)
     if args.count < 1:
         raise ValidationError(f"--count must be positive, got {args.count}")
     flavor = _FLAVOR_FUNCS[args.flavor]
     residuals = []
     for psi in haar_random_pure(signature, args.count, args.seed):
-        rho = density_from_pure(psi)
         for target in range(len(dims)):
-            residuals.append(abs(flavor(rho, target).residual))
+            residuals.append(abs(flavor(psi, target).residual))
     worst = max(residuals)
     mean = sum(residuals) / len(residuals)
     passed = worst < tolerance
@@ -457,7 +467,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

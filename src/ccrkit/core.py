@@ -47,7 +47,9 @@ class Tolerances:
     jacobi_max_sweeps  sweep budget before the eigensolver gives up
     purity_atol      |Tr rho^2 - 1| window for purity preconditions
     rank_cutoff      eigenvalues above this count toward the purification rank
-    max_total_dim    largest total dimension tensor_product will produce
+    max_total_dim    largest total dimension accepted: tensor_product will not
+                     produce more, and the CLI refuses larger state files and
+                     audit signatures before it reads or samples any amplitude
     """
 
     norm_atol: float = 1e-12
@@ -200,11 +202,7 @@ def tensor_product(states: Sequence[DensityOperator], *, tol: Tolerances | None 
     states = list(states)
     if not states:
         raise ValidationError("tensor_product needs at least one state")
-    total = math.prod(s.signature.total for s in states)
-    if total > tol.max_total_dim:
-        raise CapacityError(
-            f"total dimension {total} exceeds the configured maximum {tol.max_total_dim}"
-        )
+    _require_capacity(math.prod(s.signature.total for s in states), tol)
     dims = tuple(d for s in states for d in s.signature.dims)
     out = states[0].matrix
     for s in states[1:]:
@@ -212,14 +210,22 @@ def tensor_product(states: Sequence[DensityOperator], *, tol: Tolerances | None 
     return _density_unchecked(DimensionSignature(dims), out)
 
 
+def _require_capacity(total: int, tol: Tolerances) -> None:
+    """Raise CapacityError if a total dimension exceeds ``tol.max_total_dim``."""
+    if total > tol.max_total_dim:
+        raise CapacityError(
+            f"total dimension {total} exceeds the configured maximum {tol.max_total_dim}"
+        )
+
+
 def density_from_pure(psi: PureState) -> DensityOperator:
     """Rank-one projector |psi><psi| as a density operator."""
     return _density_unchecked(psi.signature, np.outer(psi.amplitudes, psi.amplitudes.conj()))
 
 
-def _check_target(rho: DensityOperator, target: int, *, need_partner: bool) -> int:
-    """``target`` as an int naming a subsystem of rho; ``need_partner`` also requires a second one."""
-    n = len(rho.signature.dims)
+def _check_target(state: PureState | DensityOperator, target: int, *, need_partner: bool) -> int:
+    """``target`` as an int naming a subsystem of state; ``need_partner`` also requires a second one."""
+    n = len(state.signature.dims)
     target = int(target)
     if not 0 <= target < n:
         raise ValidationError(f"target subsystem {target} out of range for {n} subsystems")
@@ -228,9 +234,14 @@ def _check_target(rho: DensityOperator, target: int, *, need_partner: bool) -> i
     return target
 
 
-def _require_pure(rho: DensityOperator, tol: Tolerances, hint: str) -> None:
-    """Raise PreconditionError, ending with ``hint``, unless Tr rho^2 = 1."""
-    p = purity(rho)
+def _require_pure(state: PureState | DensityOperator, tol: Tolerances, hint: str) -> None:
+    """Raise PreconditionError, ending with ``hint``, unless Tr rho^2 = 1.
+
+    A PureState passes at once: its constructor has already checked the norm.
+    """
+    if isinstance(state, PureState):
+        return
+    p = purity(state)
     if abs(p - 1.0) > tol.purity_atol:
         raise PreconditionError(f"global state is not pure (Tr rho^2 = {p!r}); {hint}")
 
@@ -242,6 +253,25 @@ def _block_view(rho: DensityOperator, left: Sequence[int], right: Sequence[int])
     shape = (math.prod(dims[m] for m in left), math.prod(dims[m] for m in right))
     perm = [*left, *right, *(n + m for m in left), *(n + m for m in right)]
     return rho.matrix.reshape(dims + dims).transpose(perm).reshape(shape + shape)
+
+
+def _amplitude_matrix(psi: PureState, target: int) -> np.ndarray:
+    """psi as the (d_target, rest) matrix M, psi = sum M[i, I] |i>_target |I>_rest."""
+    dims = psi.signature.dims
+    return np.moveaxis(psi.amplitudes.reshape(dims), target, 0).reshape(dims[target], -1)
+
+
+def _reduce_target(state: PureState | DensityOperator, target: int) -> DensityOperator:
+    """Reduced state of one subsystem: M M^dag for a pure state, partial_trace otherwise.
+
+    The pure route costs O(d_t^2 rest) and never forms the D x D density.
+    """
+    if isinstance(state, DensityOperator):
+        return partial_trace(state, [target])
+    m = _amplitude_matrix(state, target)
+    reduced = m @ m.conj().T
+    reduced = 0.5 * (reduced + reduced.conj().T)
+    return _density_unchecked(DimensionSignature((state.signature.dims[target],)), reduced)
 
 
 def _entropy(p: np.ndarray) -> float:

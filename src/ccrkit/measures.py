@@ -19,7 +19,9 @@ import numpy as np
 from .core import (
     DEFAULT_TOL,
     DensityOperator,
+    PureState,
     Tolerances,
+    _amplitude_matrix,
     _block_view,
     _check_target,
     _entropy,
@@ -28,7 +30,7 @@ from .core import (
     partial_trace,
     von_neumann_entropy,
 )
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 
 __all__ = [
     "MEASURE_ATOL",
@@ -78,7 +80,8 @@ class MeasureValue:
     """A non-negative quantifier together with its theoretical maximum.
 
     Values in [-MEASURE_ATOL, 0) are treated as roundoff and snapped to 0;
-    anything more negative, or above bound + MEASURE_ATOL, is rejected.
+    anything more negative, or above bound + MEASURE_ATOL, is rejected.  A
+    NaN or infinite value is a numeric failure, not an input error.
     """
 
     value: float
@@ -88,6 +91,8 @@ class MeasureValue:
     def __post_init__(self) -> None:
         value = float(self.value)
         bound = float(self.bound)
+        if not math.isfinite(value):
+            raise NumericError(f"{self.kind.value} is not a finite number: {value!r}")
         if -MEASURE_ATOL <= value < 0.0:
             value = 0.0
         if value < 0.0:
@@ -154,13 +159,21 @@ def coherence_re(rho: DensityOperator, *, tol: Tolerances | None = None) -> Meas
 _PURE_ONLY = "this form is only meaningful under global purity"
 
 
-def _nonlocal_hs_sum(rho_full: DensityOperator, target: int) -> float:
-    """Literal index-partition sum over (target pair != , rest pair !=) terms.
+def _nonlocal_hs_sum(rho_full: PureState | DensityOperator, target: int) -> float:
+    """Index-partition sum over (target pair != , rest pair !=) terms.
 
     Each term is |rho_{iI,jJ}|^2 - rho_{iI,jI} rho*_{iJ,jJ}, with i, j
     running over the target subsystem and I, J over the joint index of all
-    remaining subsystems.
+    remaining subsystems.  A density operator is summed literally.  For a
+    pure state, rho_{iI,jJ} = M_iI M*_jJ and the I = J terms cancel, which
+    leaves sum_{i != j} (p_i p_j - |(M M^dag)_ij|^2) with p_i = ||M_i||^2.
     """
+    if isinstance(rho_full, PureState):
+        m = _amplitude_matrix(rho_full, target)
+        p = np.sum(np.abs(m) ** 2, axis=1)
+        gram = m @ m.conj().T
+        off = ~np.eye(p.size, dtype=bool)
+        return float(np.sum((np.outer(p, p) - np.abs(gram) ** 2)[off]))
     others = [m for m in range(len(rho_full.signature.dims)) if m != target]
     block = _block_view(rho_full, [target], others)
     d_t, rest = block.shape[:2]
@@ -176,13 +189,14 @@ def _nonlocal_hs_sum(rho_full: DensityOperator, target: int) -> float:
 
 
 def nonlocal_coherence_hs_direct(
-    rho_full: DensityOperator, target: int, *, tol: Tolerances | None = None
+    rho_full: PureState | DensityOperator, target: int, *, tol: Tolerances | None = None
 ) -> MeasureValue:
     """Non-local Hilbert-Schmidt coherence of ``target``, by the explicit sum.
 
-    Requires a globally pure state; evaluates the index-partition sum over
-    all pairs that differ both on the target subsystem and on the joint
-    index of the remaining subsystems.
+    Requires a globally pure state, given as a PureState or as its density
+    operator; evaluates the index-partition sum over all pairs that differ
+    both on the target subsystem and on the joint index of the remaining
+    subsystems.
     """
     tol = tol or DEFAULT_TOL
     target = _check_target(rho_full, target, need_partner=True)

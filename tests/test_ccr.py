@@ -247,6 +247,24 @@ def test_index_partition_sum_matches_literal_oracle(dims):
                 assert nonlocal_coherence_hs_direct(rho, target).value == pytest.approx(literal, abs=1e-12)
 
 
+@pytest.mark.parametrize("dims", [(2, 2), (3, 2, 4), (2, 1, 3)])
+def test_amplitude_route_matches_density_route(dims):
+    rng = np.random.default_rng(math.prod(dims) + len(dims))
+    psi = PureState(dims, random_pure_vector(math.prod(dims), rng))
+    rho = density_from_pure(psi)
+    for target in range(len(dims)):
+        for flavor in (ccr_hs, ccr_vn, ccr_mixedness):
+            fast, slow = flavor(psi, target), flavor(rho, target)
+            assert (fast.flavor, fast.target, fast.bound) == (slow.flavor, slow.target, slow.bound)
+            for name in ("predictability", "local_coherence", "correlation_term"):
+                assert getattr(fast, name).value == pytest.approx(getattr(slow, name).value, abs=1e-12)
+            assert fast.sum == pytest.approx(slow.sum, abs=1e-12)
+            assert fast.residual == pytest.approx(slow.residual, abs=1e-12)
+        literal = brute_nonlocal_sum(rho.matrix, dims, target)
+        assert nonlocal_coherence_hs_direct(psi, target).value == pytest.approx(literal, abs=1e-12)
+        assert ccr_hs(psi, target).correlation_term.value == pytest.approx(literal, abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # alternate pairings on the worked families
 

@@ -1,19 +1,25 @@
 """CLI surface: state files, check/sweep/audit commands, exit codes."""
 
+import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ccrkit import DensityOperator, PureState, ValidationError, density_from_pure, purity
+import ccrkit.cli
+import ccrkit.core
+from ccrkit import DensityOperator, NumericError, PureState, ValidationError, ccr_hs, density_from_pure, purity
 from ccrkit.cli import (
     EXIT_FAIL,
     EXIT_INPUT,
+    EXIT_NUMERIC,
     EXIT_OK,
     EXIT_PRECONDITION,
     MEASURES,
     SweepConfig,
+    _print_report,
     main,
     parse_state_file,
     render_sweep_csv,
@@ -152,6 +158,61 @@ def test_check_non_finite_file_exits_2(tmp_path, capsys, flavor, kind, bad):
     path = write_json(tmp_path / "bad.json", doc)
     assert main(["check", "--file", path, "--flavor", flavor, "--json"]) == EXIT_INPUT
     assert "NaN or infinite" in capsys.readouterr().err
+
+
+def qubit_doc(n):
+    """|0...0> on n qubits as a pure state file document."""
+    return {"dims": [2] * n, "kind": "pure", "data": [[1.0, 0.0]] + [[0.0, 0.0]] * (2**n - 1)}
+
+
+def test_check_over_cap_pure_file_exits_2(tmp_path, capsys):
+    path = write_json(tmp_path / "q13.json", qubit_doc(13))
+    tracemalloc.start()
+    try:
+        code = main(["check", "--file", path, "--flavor", "hs"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_INPUT
+    assert "exceeds the configured maximum 4096" in capsys.readouterr().err
+    # Well under one 8192 x 8192 complex density (1 GiB).
+    assert peak < 32 * 2**20
+
+
+def test_check_at_cap_pure_file_passes(tmp_path):
+    path = write_json(tmp_path / "q12.json", qubit_doc(12))
+    for flavor in ("hs", "vn", "mixedness"):
+        assert main(["check", "--file", path, "--flavor", flavor, "--target", "5"]) == EXIT_OK
+
+
+def test_check_and_audit_never_build_the_density_of_a_pure_state(tmp_path, monkeypatch):
+    def refuse(psi):
+        raise AssertionError("density_from_pure called on a pure input")
+
+    monkeypatch.setattr(ccrkit.core, "density_from_pure", refuse)
+    monkeypatch.setattr(ccrkit.cli, "density_from_pure", refuse)
+    path = write_json(tmp_path / "bell.json", BELL_DOC)
+    for flavor in ("hs", "vn", "mixedness"):
+        assert main(["check", "--file", path, "--flavor", flavor, "--target", "1"]) == EXIT_OK
+        assert main(["check", "--factory", "w", "--p", "0.3", "--flavor", flavor]) == EXIT_OK
+        assert main(f"audit --dims 3,2,4 --count 5 --seed 1 --flavor {flavor}".split()) == EXIT_OK
+
+
+def test_numeric_failure_exits_4(monkeypatch, capsys):
+    def diverge(state, target):
+        raise NumericError("eigensolver did not converge")
+
+    monkeypatch.setitem(ccrkit.cli._FLAVOR_FUNCS, "vn", diverge)
+    assert main("check --factory ghz --a000 0.6 --a111 0.8 --flavor vn".split()) == EXIT_NUMERIC
+    assert main("audit --dims 2,2 --count 1 --seed 1 --flavor vn".split()) == EXIT_NUMERIC
+    assert "did not converge" in capsys.readouterr().err
+
+
+def test_json_report_refuses_nan():
+    psi = parse_state_file(json.dumps(BELL_DOC).encode())
+    report = dataclasses.replace(ccr_hs(psi, 0), residual=math.nan)
+    with pytest.raises(ValueError):
+        _print_report(report, as_json=True)
 
 
 def test_check_malformed_file_exits_2(tmp_path):
@@ -329,6 +390,18 @@ def test_audit_hs_passes(capsys):
 def test_audit_vn_passes():
     code = main("audit --dims 3,3 --count 500 --seed 7 --flavor vn --tolerance 1e-10".split())
     assert code == EXIT_OK
+
+
+def test_audit_over_cap_dims_exits_2(capsys):
+    tracemalloc.start()
+    try:
+        code = main("audit --dims 2,2,2,2,2,2,2,2,2,2,2,2,2 --count 1 --flavor hs".split())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_INPUT
+    assert "exceeds the configured maximum 4096" in capsys.readouterr().err
+    assert peak < 2**20
 
 
 def test_audit_single_subsystem_rejected():

@@ -11,6 +11,7 @@ from ccrkit import (
     DensityOperator,
     MeasureKind,
     MeasureValue,
+    NumericError,
     PreconditionError,
     PureState,
     ValidationError,
@@ -63,6 +64,12 @@ def test_measure_value_rejects_genuine_negatives():
 def test_measure_value_rejects_bound_violation():
     with pytest.raises(ValidationError, match="bound"):
         MeasureValue(0.7, 0.5, MeasureKind.C_HS)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_measure_value_rejects_non_finite(bad):
+    with pytest.raises(NumericError, match="not a finite number"):
+        MeasureValue(bad, 0.5, MeasureKind.C_HS)
 
 
 # ---------------------------------------------------------------------------
