@@ -6,8 +6,9 @@ for arbitrary (possibly mixed) states the balance closes instead with the
 local mixedness, and for a mixed global state the pure-state form leaves a
 non-negative information gap.
 
-The three balances take a PureState or a DensityOperator.  A PureState is
-worked on from its amplitudes and never expanded to |psi><psi|.
+The three balances and the inequality gap take a PureState or a
+DensityOperator.  A PureState is worked on from its amplitudes and never
+expanded to |psi><psi|.
 """
 
 from __future__ import annotations
@@ -25,15 +26,14 @@ from .core import (
     _reduce_target,
     _require_pure,
     linear_entropy,
-    partial_trace,
     von_neumann_entropy,
 )
 from .measures import (
     MeasureKind,
     MeasureValue,
+    _coherence_re,
     _nonlocal_hs_sum,
     coherence_hs,
-    coherence_re,
     predictability_hs,
     predictability_vn,
 )
@@ -119,12 +119,12 @@ def ccr_vn(
     reduced = _reduce_target(rho_full, target)
     d_t = rho_full.signature.dims[target]
     bound = math.log(d_t)
-    entanglement = MeasureValue(von_neumann_entropy(reduced, tol=tol), bound, MeasureKind.S_VN)
+    s_vn = von_neumann_entropy(reduced, tol=tol)
     return _assemble(
         target,
         predictability_vn(reduced),
-        coherence_re(reduced, tol=tol),
-        entanglement,
+        _coherence_re(reduced, s_vn),
+        MeasureValue(s_vn, bound, MeasureKind.S_VN),
         bound,
         CCRFlavor.VN_PURE_BIPARTITE,
     )
@@ -153,7 +153,7 @@ def ccr_mixedness(rho_any: PureState | DensityOperator, target: int) -> CCRRepor
     )
 
 
-def ccr_inequality_gap(rho_any: DensityOperator, target: int) -> float:
+def ccr_inequality_gap(rho_any: PureState | DensityOperator, target: int) -> float:
     """(d - 1)/d minus the pure-state balance evaluated on an arbitrary state.
 
     Zero (within roundoff) exactly when the global state is pure; positive
@@ -161,7 +161,7 @@ def ccr_inequality_gap(rho_any: DensityOperator, target: int) -> float:
     accounts for all the missing subsystem information.
     """
     target = _check_target(rho_any, target, need_partner=True)
-    reduced = partial_trace(rho_any, [target])
+    reduced = _reduce_target(rho_any, target)
     d_t = rho_any.signature.dims[target]
     total = (
         predictability_hs(reduced).value

@@ -4,12 +4,12 @@ Three subcommands: ``check`` evaluates one complementarity balance and
 exits 0 when the residual is below tolerance, ``sweep`` tabulates measures
 over a parameter grid to CSV, and ``audit`` runs a balance over a
 Haar-random ensemble.  Exit codes: 0 pass, 1 residual over tolerance,
-2 input error (including NaN or infinite state data, a tolerance that is
-not a finite number >= 0, and a state file or audit signature whose total
-dimension exceeds ``Tolerances.max_total_dim``), 3 precondition error (for
-example a mixed state fed to a pure-only flavor), 4 numeric failure (an
-eigensolver that does not converge, or a measure that comes out NaN or
-infinite).
+2 input error (including NaN or infinite state data, a state-file number
+too large for a float, a tolerance that is not a finite number >= 0, and a
+state file or audit signature whose total dimension exceeds
+``Tolerances.max_total_dim``), 3 precondition error (for example a mixed
+state fed to a pure-only flavor), 4 numeric failure (an eigenvalue solve
+that fails, or a measure that comes out NaN or infinite).
 
 ``check`` and ``audit`` hand pure states to the balances as amplitudes;
 neither builds the D x D density |psi><psi| for pure input.
@@ -130,7 +130,10 @@ def _complex_vector(entries, expected_len: int, label: str) -> np.ndarray:
             or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
         ):
             raise ValidationError(f"{label}[{i}] must be a [re, im] pair of numbers")
-        out[i] = complex(pair[0], pair[1])
+        try:
+            out[i] = complex(pair[0], pair[1])
+        except OverflowError as exc:
+            raise ValidationError(f"{label}[{i}] has an integer too large for a float") from exc
     return out
 
 
@@ -378,7 +381,6 @@ def cmd_audit(args) -> int:
     if len(dims) < 2:
         raise ValidationError(f"CCR auditing needs at least 2 subsystems, got dims {dims}")
     signature = DimensionSignature(dims)
-    _require_capacity(signature.total, DEFAULT_TOL)
     if args.count < 1:
         raise ValidationError(f"--count must be positive, got {args.count}")
     flavor = _FLAVOR_FUNCS[args.flavor]

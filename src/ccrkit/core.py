@@ -44,7 +44,8 @@ class Tolerances:
     psd_floor        smallest eigenvalue allowed before a matrix is rejected
     eig_clamp        eigenvalues in [-eig_clamp, 0] are snapped to 0
     jacobi_offdiag   convergence target for the off-diagonal Frobenius norm
-    jacobi_max_sweeps  sweep budget before the eigensolver gives up
+                     (hermitian_spectrum only; entropies use LAPACK eigvalsh)
+    jacobi_max_sweeps  sweep budget before hermitian_spectrum gives up
     purity_atol      |Tr rho^2 - 1| window for purity preconditions
     rank_cutoff      eigenvalues above this count toward the purification rank
     max_total_dim    largest total dimension accepted: tensor_product will not
@@ -406,8 +407,24 @@ def hermitian_spectrum(rho: DensityOperator, *, tol: Tolerances | None = None) -
 
 
 def von_neumann_entropy(rho: DensityOperator, *, tol: Tolerances | None = None) -> float:
-    """-sum lambda ln lambda over the spectrum (natural log, 0 ln 0 = 0)."""
-    return _entropy(hermitian_spectrum(rho, tol=tol).eigenvalues)
+    """-sum lambda ln lambda over the spectrum (natural log, 0 ln 0 = 0).
+
+    The eigenvalues come from one LAPACK ``eigvalsh`` call and are summed in
+    descending order, as ``hermitian_spectrum`` returns them; values in
+    ``[-tol.eig_clamp, 0)`` are snapped to 0 as there.
+
+    Raises
+    ------
+    NumericError
+        If LAPACK reports that the eigenvalue solve failed.
+    """
+    tol = tol or DEFAULT_TOL
+    try:
+        w = np.linalg.eigvalsh(rho.matrix)[::-1].copy()
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigenvalue solve failed: {exc}") from exc
+    w[(w < 0.0) & (w >= -tol.eig_clamp)] = 0.0
+    return _entropy(w)
 
 
 def dephased(rho: DensityOperator) -> DensityOperator:

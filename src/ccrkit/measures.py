@@ -25,6 +25,7 @@ from .core import (
     _block_view,
     _check_target,
     _entropy,
+    _reduce_target,
     _require_pure,
     linear_entropy,
     partial_trace,
@@ -150,10 +151,15 @@ def coherence_l1(rho: DensityOperator) -> MeasureValue:
 
 def coherence_re(rho: DensityOperator, *, tol: Tolerances | None = None) -> MeasureValue:
     """S_vn(diag(rho)) - S_vn(rho), the relative entropy of coherence; bound ln d."""
-    # Descending, the order of hermitian_spectrum, so this matches S_vn(dephased(rho)) bit for bit.
+    return _coherence_re(rho, von_neumann_entropy(rho, tol=tol))
+
+
+def _coherence_re(rho: DensityOperator, s_vn: float) -> MeasureValue:
+    """coherence_re given s_vn = S_vn(rho), for callers that already hold it."""
+    # Descending, the order von_neumann_entropy sums its eigenvalues in, so this
+    # matches S_vn(dephased(rho)) bit for bit.
     dephased_entropy = _entropy(np.sort(_diag_probs(rho))[::-1])
-    value = dephased_entropy - von_neumann_entropy(rho, tol=tol)
-    return MeasureValue(value, math.log(rho.signature.total), MeasureKind.C_RE)
+    return MeasureValue(dephased_entropy - s_vn, math.log(rho.signature.total), MeasureKind.C_RE)
 
 
 _PURE_ONLY = "this form is only meaningful under global purity"
@@ -206,7 +212,7 @@ def nonlocal_coherence_hs_direct(
 
 
 def nonlocal_coherence_hs_via_entropy(
-    rho_full: DensityOperator, target: int, *, tol: Tolerances | None = None
+    rho_full: PureState | DensityOperator, target: int, *, tol: Tolerances | None = None
 ) -> MeasureValue:
     """Non-local coherence of ``target`` as the linear entropy of its reduced state.
 
@@ -217,7 +223,7 @@ def nonlocal_coherence_hs_via_entropy(
     target = _check_target(rho_full, target, need_partner=True)
     _require_pure(rho_full, tol, _PURE_ONLY)
     d_t = rho_full.signature.dims[target]
-    value = linear_entropy(partial_trace(rho_full, [target]))
+    value = linear_entropy(_reduce_target(rho_full, target))
     return MeasureValue(value, (d_t - 1) / d_t, MeasureKind.C_NL_HS)
 
 

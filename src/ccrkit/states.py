@@ -12,7 +12,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import DensityOperator, DimensionSignature, PureState
+from .core import DEFAULT_TOL, DensityOperator, DimensionSignature, PureState, _require_capacity
 from .errors import ValidationError
 
 __all__ = [
@@ -160,10 +160,12 @@ def haar_random_pure(signature, count: int, seed: int) -> Iterator[PureState]:
 
     Each state normalizes a vector of i.i.d. standard complex Gaussian
     amplitudes; draws with a pre-normalization norm below 1e-6 are thrown
-    away and resampled.
+    away and resampled.  A signature over ``max_total_dim`` raises
+    CapacityError before anything is drawn.
     """
     if not isinstance(signature, DimensionSignature):
         signature = DimensionSignature(tuple(signature))
+    _require_capacity(signature.total, DEFAULT_TOL)
     count = int(count)
     if count < 1:
         raise ValidationError(f"count must be positive, got {count}")

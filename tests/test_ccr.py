@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from helpers import brute_nonlocal_sum, brute_partial_trace, random_density_matrix, random_pure_vector
 
+import ccrkit.core
 from ccrkit import (
     CCRFlavor,
     CoherenceKind,
@@ -17,15 +18,18 @@ from ccrkit import (
     ccr_inequality_gap,
     ccr_mixedness,
     ccr_vn,
+    coherence_re,
     concurrence_generalized,
     correlated_coherence,
     density_from_pure,
     nonlocal_coherence_hs_direct,
+    nonlocal_coherence_hs_via_entropy,
     partial_trace,
     predictability_hs,
     predictability_l1,
     tensor_product,
 )
+from ccrkit.core import _reduce_target
 from ccrkit.states import bipartite_x, ghz, haar_random_pure, qutrit_jb, w_state, werner_like
 
 
@@ -105,6 +109,36 @@ def test_ccr_vn_balanced_ghz():
 def test_ccr_vn_rejects_mixed():
     with pytest.raises(PreconditionError, match="pure"):
         ccr_vn(DensityOperator((2, 2), np.eye(4) / 4), 0)
+
+
+def test_ccr_vn_coherence_matches_coherence_re_bit_for_bit():
+    for psi in haar_random_pure((3, 2, 4), 5, seed=41):
+        for state in (psi, density_from_pure(psi)):
+            for target in range(3):
+                report = ccr_vn(state, target)
+                assert report.local_coherence == coherence_re(_reduce_target(state, target))
+
+
+def test_ccr_vn_solves_one_spectrum_per_check(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting_eigvalsh(matrix):
+        calls.append(matrix.shape)
+        return eigvalsh(matrix)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("hermitian_spectrum called by ccr_vn")
+
+    psi = next(haar_random_pure((3, 2, 4), 1, seed=42))
+    rho = density_from_pure(psi)
+    monkeypatch.setattr(ccrkit.core.np.linalg, "eigvalsh", counting_eigvalsh)
+    monkeypatch.setattr(ccrkit.core, "hermitian_spectrum", refuse)
+    for state in (psi, rho):
+        for target in range(3):
+            calls.clear()
+            ccr_vn(state, target)
+            assert calls == [(psi.dims[target], psi.dims[target])]
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +240,17 @@ def test_residuals_on_random_pure_states():
 def test_gap_zero_for_pure_states():
     rho = density_from_pure(ghz(1 / math.sqrt(2), 1 / math.sqrt(2)))
     assert abs(ccr_inequality_gap(rho, 0)) < 1e-12
+
+
+@pytest.mark.parametrize("psi", [ghz(0.6, 0.8), next(haar_random_pure((3, 2, 4), 1, seed=43))])
+def test_gap_and_entropy_route_take_pure_states(psi):
+    rho = density_from_pure(psi)
+    for target in range(len(psi.dims)):
+        gap = ccr_inequality_gap(psi, target)
+        assert gap == pytest.approx(ccr_inequality_gap(rho, target), abs=1e-12)
+        assert abs(gap) < 1e-12
+        via_entropy = nonlocal_coherence_hs_via_entropy(psi, target).value
+        assert via_entropy == pytest.approx(nonlocal_coherence_hs_via_entropy(rho, target).value, abs=1e-12)
 
 
 def test_gap_positive_for_maximally_mixed_two_qubits():

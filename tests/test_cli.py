@@ -160,6 +160,20 @@ def test_check_non_finite_file_exits_2(tmp_path, capsys, flavor, kind, bad):
     assert "NaN or infinite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["pure", "density"])
+def test_check_oversized_integer_in_file_exits_2(tmp_path, capsys, kind):
+    # JSON keeps 10**400 as an integer; float() of it overflows.
+    if kind == "pure":
+        doc = {**BELL_DOC, "data": [[10**400, 0]] + BELL_DOC["data"][1:]}
+    else:
+        rows = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+        rows[2][3] = [10**400, 0]
+        doc = {"dims": [2, 2], "kind": "density", "data": rows}
+    path = write_json(tmp_path / "huge.json", doc)
+    assert main(["check", "--file", path, "--flavor", "mixedness"]) == EXIT_INPUT
+    assert "too large for a float" in capsys.readouterr().err
+
+
 def qubit_doc(n):
     """|0...0> on n qubits as a pure state file document."""
     return {"dims": [2] * n, "kind": "pure", "data": [[1.0, 0.0]] + [[0.0, 0.0]] * (2**n - 1)}
@@ -206,6 +220,15 @@ def test_numeric_failure_exits_4(monkeypatch, capsys):
     assert main("check --factory ghz --a000 0.6 --a111 0.8 --flavor vn".split()) == EXIT_NUMERIC
     assert main("audit --dims 2,2 --count 1 --seed 1 --flavor vn".split()) == EXIT_NUMERIC
     assert "did not converge" in capsys.readouterr().err
+
+
+def test_eigenvalue_solve_failure_exits_4(monkeypatch, capsys):
+    def fail(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(ccrkit.core.np.linalg, "eigvalsh", fail)
+    assert main("check --factory ghz --a000 0.6 --a111 0.8 --flavor vn".split()) == EXIT_NUMERIC
+    assert "eigenvalue solve failed" in capsys.readouterr().err
 
 
 def test_json_report_refuses_nan():

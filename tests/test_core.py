@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from helpers import brute_partial_trace, random_density_matrix, random_pure_vector
 
+import ccrkit.core
 from ccrkit import (
     CapacityError,
     DensityOperator,
@@ -24,6 +25,7 @@ from ccrkit import (
     tensor_product,
     von_neumann_entropy,
 )
+from ccrkit.core import _entropy
 from ccrkit.states import acin, bipartite_x, ghz, w_state, werner_like
 
 
@@ -318,6 +320,45 @@ def test_vn_entropy_x_state_reduced():
     reduced = partial_trace(density_from_pure(bipartite_x(x)), [0])
     expected = -(x**2) * math.log(x**2) - (1 - x**2) * math.log(1 - x**2)
     assert abs(von_neumann_entropy(reduced) - expected) < 1e-12
+
+
+def jacobi_entropy(rho):
+    """S_vn through the Jacobi eigensolver; oracle for the LAPACK route."""
+    return _entropy(hermitian_spectrum(rho).eigenvalues)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_vn_entropy_matches_jacobi_on_random_mixed_states(d):
+    rng = np.random.default_rng(200 + d)
+    for rank in (1, 2, d):
+        rho = DensityOperator((d,), random_density_matrix(d, rng, rank=rank))
+        assert abs(von_neumann_entropy(rho) - jacobi_entropy(rho)) < 1e-12
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2, 4), (4, 2)])
+def test_vn_entropy_matches_jacobi_on_rank_deficient_reductions(dims):
+    # Keeping the larger part of a pure state leaves a reduction of rank <= the rest.
+    rng = np.random.default_rng(sum(dims))
+    rho = density_from_pure(PureState(dims, random_pure_vector(math.prod(dims), rng)))
+    for keep in ([0], list(range(1, len(dims))), list(range(len(dims) - 1))):
+        reduced = partial_trace(rho, keep)
+        assert abs(von_neumann_entropy(reduced) - jacobi_entropy(reduced)) < 1e-12
+
+
+@pytest.mark.parametrize("diag", [[0.3, 0.7], [1.0, 0.0, 0.0], [0.1, 0.2, 0.3, 0.4], [0.25] * 4])
+def test_vn_entropy_matches_jacobi_on_diagonal_inputs(diag):
+    rho = DensityOperator((len(diag),), np.diag(diag))
+    assert abs(von_neumann_entropy(rho) - jacobi_entropy(rho)) < 1e-12
+
+
+def test_vn_entropy_lapack_failure_raises_numeric_error(monkeypatch):
+    def fail(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    rho = maximally_mixed(2)
+    monkeypatch.setattr(ccrkit.core.np.linalg, "eigvalsh", fail)
+    with pytest.raises(NumericError, match="eigenvalue solve failed"):
+        von_neumann_entropy(rho)
 
 
 # ---------------------------------------------------------------------------

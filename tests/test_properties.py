@@ -1,4 +1,5 @@
-"""Property tests: invariances of the balances over random pure states.
+"""Property tests: invariances of the balances over random pure states,
+and bounds of the quantifiers over random mixed states.
 
 Hypothesis draws the signature, the target and a seed; the state itself
 comes from numpy.  Runs are derandomized so the suite is reproducible.
@@ -7,19 +8,27 @@ comes from numpy.  Runs are derandomized so the suite is reproducible.
 import math
 
 import numpy as np
-from helpers import random_pure_vector
+from helpers import random_density_matrix, random_pure_vector
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccrkit import (
+    DensityOperator,
     PureState,
     ccr_hs,
     ccr_inequality_gap,
     ccr_mixedness,
     ccr_vn,
+    coherence_hs,
+    coherence_l1,
+    coherence_re,
     density_from_pure,
     nonlocal_coherence_hs_direct,
     partial_trace,
+    predictability_hs,
+    predictability_l1,
+    predictability_vn,
+    von_neumann_entropy,
 )
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -37,6 +46,15 @@ def pure_states(draw, min_subsystems=2, max_subsystems=4):
     dims = tuple(draw(st.lists(st.integers(1, 3), min_size=min_subsystems, max_size=max_subsystems)))
     rng = np.random.default_rng(draw(SEEDS))
     return PureState(dims, random_pure_vector(math.prod(dims), rng))
+
+
+@st.composite
+def mixed_states(draw):
+    dims = draw(st.sampled_from([(2, 3), (2, 2, 2)]))
+    d = math.prod(dims)
+    rank = draw(st.integers(1, d))
+    rng = np.random.default_rng(draw(SEEDS))
+    return DensityOperator(dims, random_density_matrix(d, rng, rank=rank))
 
 
 @PROPERTY
@@ -83,3 +101,18 @@ def test_inequality_gap_nonnegative_on_mixed_reductions(psi, data):
     reduced = partial_trace(density_from_pure(psi), keep)
     for target in range(len(keep)):
         assert ccr_inequality_gap(reduced, target) >= -1e-10
+
+
+@PROPERTY
+@given(rho=mixed_states())
+def test_quantifiers_stay_within_bounds_on_mixed_states(rho):
+    n = len(rho.dims)
+    for part in [rho] + [partial_trace(rho, [target]) for target in range(n)]:
+        for measure in (predictability_hs, predictability_vn, predictability_l1,
+                        coherence_hs, coherence_l1, coherence_re):
+            mv = measure(part)
+            assert 0.0 <= mv.value <= mv.bound
+        # A raw float, not a MeasureValue, so no snap absorbs roundoff at the edges.
+        assert -1e-12 <= von_neumann_entropy(part) <= math.log(part.signature.total) + 1e-12
+    for target in range(n):
+        assert abs(ccr_mixedness(rho, target).residual) <= 1e-12

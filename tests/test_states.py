@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ccrkit import DensityOperator, PureState, ValidationError, density_from_pure, partial_trace, purity
+from ccrkit import CapacityError, DensityOperator, PureState, ValidationError, density_from_pure, partial_trace, purity
 from ccrkit.states import (
     FACTORY_PARAMS,
     acin,
@@ -155,3 +155,8 @@ def test_haar_mean_reduced_linear_entropy():
 def test_haar_rejects_bad_count():
     with pytest.raises(ValidationError, match="count"):
         list(haar_random_pure((2, 2), 0, seed=1))
+
+
+def test_haar_rejects_over_cap_signature_before_drawing():
+    with pytest.raises(CapacityError, match="exceeds the configured maximum 4096"):
+        next(haar_random_pure((2,) * 13, 1, 0))
