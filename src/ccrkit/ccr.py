@@ -23,9 +23,9 @@ from .core import (
     PureState,
     Tolerances,
     _check_target,
-    _reduce_target,
     _require_pure,
     linear_entropy,
+    partial_trace,
     von_neumann_entropy,
 )
 from .measures import (
@@ -92,14 +92,14 @@ def ccr_hs(
     tol = tol or DEFAULT_TOL
     target = _check_target(rho_full, target, need_partner=True)
     _require_pure(rho_full, tol, "use ccr_mixedness for the mixed-state form")
-    reduced = _reduce_target(rho_full, target)
+    reduced = partial_trace(rho_full, [target])
     d_t = rho_full.signature.dims[target]
     bound = (d_t - 1) / d_t
     return _assemble(
         target,
         predictability_hs(reduced),
         coherence_hs(reduced),
-        MeasureValue(_nonlocal_hs_sum(rho_full, target), bound, MeasureKind.C_NL_HS),
+        MeasureValue(_nonlocal_hs_sum(rho_full, target, reduced), bound, MeasureKind.C_NL_HS),
         bound,
         CCRFlavor.HS_PURE,
     )
@@ -116,7 +116,7 @@ def ccr_vn(
     tol = tol or DEFAULT_TOL
     target = _check_target(rho_full, target, need_partner=True)
     _require_pure(rho_full, tol, "the entropic CCR requires a pure global state")
-    reduced = _reduce_target(rho_full, target)
+    reduced = partial_trace(rho_full, [target])
     d_t = rho_full.signature.dims[target]
     bound = math.log(d_t)
     s_vn = von_neumann_entropy(reduced, tol=tol)
@@ -139,7 +139,7 @@ def ccr_mixedness(rho_any: PureState | DensityOperator, target: int) -> CCRRepor
     origin (correlations or environment noise).
     """
     target = _check_target(rho_any, target, need_partner=False)
-    reduced = _reduce_target(rho_any, target)
+    reduced = partial_trace(rho_any, [target])
     d_t = rho_any.signature.dims[target]
     bound = (d_t - 1) / d_t
     mixedness = MeasureValue(linear_entropy(reduced), bound, MeasureKind.S_L)
@@ -161,11 +161,11 @@ def ccr_inequality_gap(rho_any: PureState | DensityOperator, target: int) -> flo
     accounts for all the missing subsystem information.
     """
     target = _check_target(rho_any, target, need_partner=True)
-    reduced = _reduce_target(rho_any, target)
+    reduced = partial_trace(rho_any, [target])
     d_t = rho_any.signature.dims[target]
     total = (
         predictability_hs(reduced).value
         + coherence_hs(reduced).value
-        + _nonlocal_hs_sum(rho_any, target)
+        + _nonlocal_hs_sum(rho_any, target, reduced)
     )
     return (d_t - 1) / d_t - total

@@ -4,15 +4,17 @@ Three subcommands: ``check`` evaluates one complementarity balance and
 exits 0 when the residual is below tolerance, ``sweep`` tabulates measures
 over a parameter grid to CSV, and ``audit`` runs a balance over a
 Haar-random ensemble.  Exit codes: 0 pass, 1 residual over tolerance,
-2 input error (including NaN or infinite state data, a state-file number
-too large for a float, a tolerance that is not a finite number >= 0, and a
+2 input error (including NaN or infinite state data or factory parameters,
+a state-file number too large for a float, a non-finite sweep edge, a
+negative audit seed, a tolerance that is not a finite number >= 0, and a
 state file or audit signature whose total dimension exceeds
 ``Tolerances.max_total_dim``), 3 precondition error (for example a mixed
 state fed to a pure-only flavor), 4 numeric failure (an eigenvalue solve
 that fails, or a measure that comes out NaN or infinite).
 
 ``check`` and ``audit`` hand pure states to the balances as amplitudes;
-neither builds the D x D density |psi><psi| for pure input.
+neither builds the D x D density |psi><psi| for pure input.  ``sweep``
+reduces each row's state once and passes that to every column.
 """
 
 from __future__ import annotations
@@ -153,23 +155,19 @@ def serialize_state(state: PureState | DensityOperator) -> bytes:
 # Sweeps
 
 
-def _reduced(rho: DensityOperator, target: int) -> DensityOperator:
-    return partial_trace(rho, [target])
-
-
 def _others(rho: DensityOperator, target: int) -> list[int]:
     return [m for m in range(len(rho.signature.dims)) if m != target]
 
 
 def _corr_rest(kind: CoherenceKind):
-    def value(rho, target):
+    def value(rho, reduced, target):
         return correlated_coherence(rho, ([target], _others(rho, target)), kind)
 
     return value
 
 
 def _corr_pairsum(kind: CoherenceKind):
-    def value(rho, target):
+    def value(rho, reduced, target):
         total = 0.0
         for m in _others(rho, target):
             pair = partial_trace(rho, [target, m])
@@ -180,28 +178,28 @@ def _corr_pairsum(kind: CoherenceKind):
     return value
 
 
-#: Measures addressable by name in sweep CSV columns.  All act on the
-#: reduced target state except the correlation-type entries, which need the
-#: full state; "sum" totals the other requested columns.
+#: Measures addressable by name in sweep CSV columns, called as (rho, reduced, target)
+#: with the row's one reduction partial_trace(rho, [target]).  All but the
+#: correlation-type entries read only ``reduced``; "sum" totals the other columns.
 MEASURES = {
-    "P_hs": lambda rho, t: predictability_hs(_reduced(rho, t)).value,
-    "P_vn": lambda rho, t: predictability_vn(_reduced(rho, t)).value,
-    "P_l1": lambda rho, t: predictability_l1(_reduced(rho, t)).value,
-    "C_hs": lambda rho, t: coherence_hs(_reduced(rho, t)).value,
-    "C_l1": lambda rho, t: coherence_l1(_reduced(rho, t)).value,
-    "C_re": lambda rho, t: coherence_re(_reduced(rho, t)).value,
-    "S_vn": lambda rho, t: von_neumann_entropy(_reduced(rho, t)),
-    "S_l": lambda rho, t: linear_entropy(_reduced(rho, t)),
-    "purity": lambda rho, t: purity(_reduced(rho, t)),
-    "C_nl_hs": lambda rho, t: nonlocal_coherence_hs_direct(rho, t).value,
+    "P_hs": lambda rho, r, t: predictability_hs(r).value,
+    "P_vn": lambda rho, r, t: predictability_vn(r).value,
+    "P_l1": lambda rho, r, t: predictability_l1(r).value,
+    "C_hs": lambda rho, r, t: coherence_hs(r).value,
+    "C_l1": lambda rho, r, t: coherence_l1(r).value,
+    "C_re": lambda rho, r, t: coherence_re(r).value,
+    "S_vn": lambda rho, r, t: von_neumann_entropy(r),
+    "S_l": lambda rho, r, t: linear_entropy(r),
+    "purity": lambda rho, r, t: purity(r),
+    "C_nl_hs": lambda rho, r, t: nonlocal_coherence_hs_direct(rho, t).value,
     "C_corr_hs": _corr_rest(CoherenceKind.HILBERT_SCHMIDT),
     "C_corr_l1": _corr_rest(CoherenceKind.L1_NORM),
     "C_corr_re": _corr_rest(CoherenceKind.RELATIVE_ENTROPY),
     "C_corr_hs_pairsum": _corr_pairsum(CoherenceKind.HILBERT_SCHMIDT),
     "C_corr_l1_pairsum": _corr_pairsum(CoherenceKind.L1_NORM),
-    "P_jb_sq": lambda rho, t: 2.0 * predictability_hs(_reduced(rho, t)).value,
-    "C_jb_sq": lambda rho, t: 2.0 * linear_entropy(_reduced(rho, t)),
-    "concurrence": lambda rho, t: concurrence_generalized(_reduced(rho, t)).value,
+    "P_jb_sq": lambda rho, r, t: 2.0 * predictability_hs(r).value,
+    "C_jb_sq": lambda rho, r, t: 2.0 * linear_entropy(r),
+    "concurrence": lambda rho, r, t: concurrence_generalized(r).value,
 }
 
 
@@ -229,6 +227,10 @@ def _validate_sweep(config: SweepConfig) -> None:
             f"variant {config.variant!r} has no parameter {config.param!r}; "
             f"expected one of {list(FACTORY_PARAMS[config.variant])}"
         )
+    if not math.isfinite(config.stop - config.start):
+        raise ValidationError(
+            f"sweep grid edges must be finite with a finite span, got {config.start!r} and {config.stop!r}"
+        )
     if config.points < 2:
         raise ValidationError(f"sweep needs at least 2 grid points, got {config.points}")
     if config.param in _REAL_PARAMS:
@@ -253,8 +255,9 @@ def render_sweep_csv(config: SweepConfig) -> str:
         params[config.param] = float(value)
         state = build(config.variant, **params)
         rho = density_from_pure(state) if isinstance(state, PureState) else state
+        reduced = partial_trace(rho, [config.target])
         measured = {
-            name: float(MEASURES[name](rho, config.target))
+            name: float(MEASURES[name](rho, reduced, config.target))
             for name in config.measures
             if name != "sum"
         }

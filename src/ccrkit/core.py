@@ -256,41 +256,25 @@ def _block_view(rho: DensityOperator, left: Sequence[int], right: Sequence[int])
     return rho.matrix.reshape(dims + dims).transpose(perm).reshape(shape + shape)
 
 
-def _amplitude_matrix(psi: PureState, target: int) -> np.ndarray:
-    """psi as the (d_target, rest) matrix M, psi = sum M[i, I] |i>_target |I>_rest."""
-    dims = psi.signature.dims
-    return np.moveaxis(psi.amplitudes.reshape(dims), target, 0).reshape(dims[target], -1)
-
-
-def _reduce_target(state: PureState | DensityOperator, target: int) -> DensityOperator:
-    """Reduced state of one subsystem: M M^dag for a pure state, partial_trace otherwise.
-
-    The pure route costs O(d_t^2 rest) and never forms the D x D density.
-    """
-    if isinstance(state, DensityOperator):
-        return partial_trace(state, [target])
-    m = _amplitude_matrix(state, target)
-    reduced = m @ m.conj().T
-    reduced = 0.5 * (reduced + reduced.conj().T)
-    return _density_unchecked(DimensionSignature((state.signature.dims[target],)), reduced)
-
-
 def _entropy(p: np.ndarray) -> float:
     """-sum p ln p over the positive entries of p (natural log)."""
     p = p[p > 0.0]
     return float(-np.sum(p * np.log(p)))
 
 
-def partial_trace(rho: DensityOperator, keep: Iterable[int]) -> DensityOperator:
+def partial_trace(rho: PureState | DensityOperator, keep: Iterable[int]) -> DensityOperator:
     """Trace out every subsystem not listed in ``keep``.
 
     Parameters
     ----------
-    rho : DensityOperator
-        State over n subsystems.
+    rho : PureState or DensityOperator
+        State over n subsystems.  A PureState is reshaped to the
+        (keep x rest) amplitude matrix M and reduced as M M^dag, in
+        O(k^2 rest) work without forming the D x D density.
     keep : iterable of int
         Indices of the subsystems to retain; they stay in their original
-        relative order.  Keeping the full set returns ``rho`` itself.
+        relative order.  Keeping the full set of a DensityOperator returns
+        ``rho`` itself (of a PureState, its projector |psi><psi|).
 
     Returns
     -------
@@ -307,15 +291,19 @@ def partial_trace(rho: DensityOperator, keep: Iterable[int]) -> DensityOperator:
         raise ValidationError(
             f"subsystem index out of range for {n} subsystems: {keep_list}"
         )
-    if len(keep_list) == n:
-        return rho
-    keep_set = set(keep_list)
-    tensor = rho.matrix.reshape(dims + dims)
-    bra_ket = list(range(n)) + [n + m if m in keep_set else m for m in range(n)]
-    out_axes = keep_list + [n + m for m in keep_list]
     kept_dims = tuple(dims[m] for m in keep_list)
     k = math.prod(kept_dims)
-    reduced = np.einsum(tensor, bra_ket, out_axes).reshape(k, k)
+    if isinstance(rho, PureState):
+        m = np.moveaxis(rho.amplitudes.reshape(dims), keep_list, range(len(keep_list))).reshape(k, -1)
+        reduced = m @ m.conj().T
+    elif len(keep_list) == n:
+        return rho
+    else:
+        keep_set = set(keep_list)
+        tensor = rho.matrix.reshape(dims + dims)
+        bra_ket = list(range(n)) + [n + m if m in keep_set else m for m in range(n)]
+        out_axes = keep_list + [n + m for m in keep_list]
+        reduced = np.einsum(tensor, bra_ket, out_axes).reshape(k, k)
     reduced = 0.5 * (reduced + reduced.conj().T)
     return _density_unchecked(DimensionSignature(kept_dims), reduced)
 

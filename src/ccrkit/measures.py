@@ -21,11 +21,9 @@ from .core import (
     DensityOperator,
     PureState,
     Tolerances,
-    _amplitude_matrix,
     _block_view,
     _check_target,
     _entropy,
-    _reduce_target,
     _require_pure,
     linear_entropy,
     partial_trace,
@@ -165,50 +163,47 @@ def _coherence_re(rho: DensityOperator, s_vn: float) -> MeasureValue:
 _PURE_ONLY = "this form is only meaningful under global purity"
 
 
-def _nonlocal_hs_sum(rho_full: PureState | DensityOperator, target: int) -> float:
-    """Index-partition sum over (target pair != , rest pair !=) terms.
+def _nonlocal_hs_sum(state: PureState | DensityOperator, target: int, reduced: DensityOperator) -> float:
+    """Index-partition sum over (target pair !=, rest pair !=) terms, in block form.
 
     Each term is |rho_{iI,jJ}|^2 - rho_{iI,jI} rho*_{iJ,jJ}, with i, j
     running over the target subsystem and I, J over the joint index of all
-    remaining subsystems.  A density operator is summed literally.  For a
-    pure state, rho_{iI,jJ} = M_iI M*_jJ and the I = J terms cancel, which
-    leaves sum_{i != j} (p_i p_j - |(M M^dag)_ij|^2) with p_i = ||M_i||^2.
+    remaining subsystems.  The I = J terms are |rho_{iI,jI}|^2 minus the
+    same number, so they cancel and the rest sum may run over every (I, J).
+    That gives sum_{i != j} (F_ij - |(rho_t)_ij|^2), where ``reduced`` is
+    rho_t = partial_trace(state, [target]) and F_ij = ||rho^(ij)||_F^2 is
+    the squared Frobenius norm of the rest x rest block rho^(ij).  For a
+    PureState, rho_{iI,jJ} = M_iI M*_jJ, so F = outer(p, p) with
+    p = diag(rho_t); a DensityOperator sums |rho|^2 over the rest axes.
     """
-    if isinstance(rho_full, PureState):
-        m = _amplitude_matrix(rho_full, target)
-        p = np.sum(np.abs(m) ** 2, axis=1)
-        gram = m @ m.conj().T
-        off = ~np.eye(p.size, dtype=bool)
-        return float(np.sum((np.outer(p, p) - np.abs(gram) ** 2)[off]))
-    others = [m for m in range(len(rho_full.signature.dims)) if m != target]
-    block = _block_view(rho_full, [target], others)
-    d_t, rest = block.shape[:2]
-    # rho_{iI,jI}: diagonal in the rest index.
-    rest_diag = np.einsum("ixjx->ijx", block)
-    abs_sq = np.abs(block.transpose(0, 2, 1, 3)) ** 2
-    cross = rest_diag[:, :, :, None] * rest_diag.conj()[:, :, None, :]
-    pair_mask = (
-        (~np.eye(d_t, dtype=bool))[:, :, None, None]
-        & (~np.eye(rest, dtype=bool))[None, None, :, :]
-    )
-    return float(np.sum((abs_sq - cross)[pair_mask]).real)
+    if isinstance(state, PureState):
+        p = np.diag(reduced.matrix).real
+        blocks = np.outer(p, p)
+    else:
+        dims = state.signature.dims
+        n = len(dims)
+        rest_axes = tuple(m for m in range(2 * n) if m not in (target, n + target))
+        blocks = np.sum(np.abs(state.matrix.reshape(dims + dims)) ** 2, axis=rest_axes)
+    off = ~np.eye(blocks.shape[0], dtype=bool)
+    return float(np.sum((blocks - np.abs(reduced.matrix) ** 2)[off]))
 
 
 def nonlocal_coherence_hs_direct(
     rho_full: PureState | DensityOperator, target: int, *, tol: Tolerances | None = None
 ) -> MeasureValue:
-    """Non-local Hilbert-Schmidt coherence of ``target``, by the explicit sum.
+    """Non-local Hilbert-Schmidt coherence of ``target``, by the index-partition sum.
 
     Requires a globally pure state, given as a PureState or as its density
-    operator; evaluates the index-partition sum over all pairs that differ
-    both on the target subsystem and on the joint index of the remaining
-    subsystems.
+    operator; evaluates the sum over all pairs that differ both on the
+    target subsystem and on the joint index of the remaining subsystems,
+    in the block form of ``_nonlocal_hs_sum``.
     """
     tol = tol or DEFAULT_TOL
     target = _check_target(rho_full, target, need_partner=True)
     _require_pure(rho_full, tol, _PURE_ONLY)
     d_t = rho_full.signature.dims[target]
-    return MeasureValue(_nonlocal_hs_sum(rho_full, target), (d_t - 1) / d_t, MeasureKind.C_NL_HS)
+    reduced = partial_trace(rho_full, [target])
+    return MeasureValue(_nonlocal_hs_sum(rho_full, target, reduced), (d_t - 1) / d_t, MeasureKind.C_NL_HS)
 
 
 def nonlocal_coherence_hs_via_entropy(
@@ -223,7 +218,7 @@ def nonlocal_coherence_hs_via_entropy(
     target = _check_target(rho_full, target, need_partner=True)
     _require_pure(rho_full, tol, _PURE_ONLY)
     d_t = rho_full.signature.dims[target]
-    value = linear_entropy(_reduce_target(rho_full, target))
+    value = linear_entropy(partial_trace(rho_full, [target]))
     return MeasureValue(value, (d_t - 1) / d_t, MeasureKind.C_NL_HS)
 
 

@@ -44,7 +44,10 @@ def _check_real(name: str, value) -> float:
 
 
 def _normalized(amplitudes: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(amplitudes))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(amplitudes))
+    if not math.isfinite(norm):
+        raise ValidationError("amplitude parameters must be finite, with a sum of squares that fits in a float")
     if norm < 1e-15:
         raise ValidationError("amplitude parameters are all zero")
     return amplitudes / norm
@@ -161,7 +164,8 @@ def haar_random_pure(signature, count: int, seed: int) -> Iterator[PureState]:
     Each state normalizes a vector of i.i.d. standard complex Gaussian
     amplitudes; draws with a pre-normalization norm below 1e-6 are thrown
     away and resampled.  A signature over ``max_total_dim`` raises
-    CapacityError before anything is drawn.
+    CapacityError, and a negative ``seed`` raises ValidationError, before
+    anything is drawn.
     """
     if not isinstance(signature, DimensionSignature):
         signature = DimensionSignature(tuple(signature))
@@ -169,7 +173,10 @@ def haar_random_pure(signature, count: int, seed: int) -> Iterator[PureState]:
     count = int(count)
     if count < 1:
         raise ValidationError(f"count must be positive, got {count}")
-    rng = np.random.default_rng(int(seed))
+    seed = int(seed)
+    if seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed}")
+    rng = np.random.default_rng(seed)
     d = signature.total
     produced = 0
     while produced < count:

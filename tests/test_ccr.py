@@ -29,7 +29,6 @@ from ccrkit import (
     predictability_l1,
     tensor_product,
 )
-from ccrkit.core import _reduce_target
 from ccrkit.states import bipartite_x, ghz, haar_random_pure, qutrit_jb, w_state, werner_like
 
 
@@ -116,7 +115,7 @@ def test_ccr_vn_coherence_matches_coherence_re_bit_for_bit():
         for state in (psi, density_from_pure(psi)):
             for target in range(3):
                 report = ccr_vn(state, target)
-                assert report.local_coherence == coherence_re(_reduce_target(state, target))
+                assert report.local_coherence == coherence_re(partial_trace(state, [target]))
 
 
 def test_ccr_vn_solves_one_spectrum_per_check(monkeypatch):
@@ -274,13 +273,14 @@ def test_gap_nonnegative_on_random_mixed_states():
                 assert ccr_inequality_gap(rho, target) >= -1e-10
 
 
-@pytest.mark.parametrize("dims", [(3, 2), (2, 3, 2)])
+@pytest.mark.parametrize("dims", [(3, 2), (2, 3, 2), (3, 2, 4), (2, 2, 2, 2)])
 def test_index_partition_sum_matches_literal_oracle(dims):
     rng = np.random.default_rng(sum(dims))
     d = math.prod(dims)
     mixed = DensityOperator(dims, random_density_matrix(d, rng))
     pure = density_from_pure(PureState(dims, random_pure_vector(d, rng)))
-    for rho in (mixed, pure):
+    rank_two = DensityOperator(dims, random_density_matrix(d, rng, rank=2))
+    for rho in (mixed, pure, rank_two):
         for target in range(len(dims)):
             literal = brute_nonlocal_sum(rho.matrix, dims, target)
             assert abs(literal) > 1e-3

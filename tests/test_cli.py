@@ -267,6 +267,13 @@ def test_check_amplitude_re_im_syntax():
     assert code == EXIT_OK
 
 
+@pytest.mark.parametrize("a000", ["1e400", "nan", "1:-1e400", "1e200"])
+def test_check_non_finite_amplitude_exits_2(a000, capsys):
+    argv = ["check", "--factory", "ghz", f"--a000={a000}", "--a111", "1", "--flavor", "hs"]
+    assert main(argv) == EXIT_INPUT
+    assert "amplitude parameters must be finite" in capsys.readouterr().err
+
+
 def test_check_bad_amplitude_syntax_exits_2():
     code = main("check --factory ghz --a000 abc --a111 0.7 --flavor hs".split())
     assert code == EXIT_INPUT
@@ -394,6 +401,39 @@ def test_sweep_validation_errors_exit_2(tmp_path):
     )
 
 
+def test_sweep_non_finite_grid_edges_exit_2(tmp_path, capsys):
+    base = [
+        "sweep", "--factory", "acin", "--param", "lambda1", "--points", "3",
+        "--lambda2", "1", "--lambda3", "1", "--lambda4", "1", "--measures", "P_hs",
+        "--out", str(tmp_path / "x.csv"),
+    ]
+    for edges in (["--start", "0", "--stop", "1e400"], ["--start", "nan", "--stop", "1"],
+                  ["--start=-1e308", "--stop", "1e308"]):
+        assert main(base + edges) == EXIT_INPUT
+        assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_sweep_reduces_once_per_row(tmp_path, monkeypatch):
+    calls = []
+    reduce = ccrkit.cli.partial_trace
+
+    def counting(rho, keep):
+        calls.append(list(keep))
+        return reduce(rho, keep)
+
+    monkeypatch.setattr(ccrkit.cli, "partial_trace", counting)
+    code = main(
+        [
+            "sweep", "--factory", "w", "--param", "p", "--start", "0", "--stop", "1",
+            "--points", "5", "--measures", "P_hs,C_hs,S_vn,purity", "--target", "1",
+            "--out", str(tmp_path / "w.csv"),
+        ]
+    )
+    assert code == EXIT_OK
+    assert calls == [[1]] * 5
+
+
 def test_measure_registry_names_cover_figures():
     for name in ("P_hs", "C_hs", "P_vn", "S_vn", "P_l1", "C_l1", "C_nl_hs",
                  "C_corr_hs", "C_corr_l1", "C_corr_hs_pairsum", "P_jb_sq", "C_jb_sq"):
@@ -425,6 +465,11 @@ def test_audit_over_cap_dims_exits_2(capsys):
     assert code == EXIT_INPUT
     assert "exceeds the configured maximum 4096" in capsys.readouterr().err
     assert peak < 2**20
+
+
+def test_audit_negative_seed_exits_2(capsys):
+    assert main("audit --dims 2,2 --count 3 --seed -1 --flavor hs".split()) == EXIT_INPUT
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
 
 
 def test_audit_single_subsystem_rejected():

@@ -1,5 +1,6 @@
 """Tensor-core layer: types, partial trace, spectra, purification."""
 
+import itertools
 import math
 
 import numpy as np
@@ -233,6 +234,30 @@ def test_partial_trace_rejects_bad_keep():
         partial_trace(rho, [3])
     with pytest.raises(ValidationError, match="out of range"):
         partial_trace(rho, [-1])
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 2), (3, 2, 4)])
+def test_partial_trace_of_pure_state_matches_density_route(dims):
+    rng = np.random.default_rng(math.prod(dims))
+    psi = PureState(dims, random_pure_vector(math.prod(dims), rng))
+    rho = density_from_pure(psi)
+    keeps = [list(c) for r in range(1, 4) for c in itertools.combinations(range(3), r)]
+    assert [0, 2] in keeps and [0, 1, 2] in keeps
+    for keep in keeps + [[2, 0]]:
+        got = partial_trace(psi, keep)
+        want = partial_trace(rho, keep)
+        assert got.signature == want.signature
+        assert np.allclose(got.matrix, want.matrix, rtol=0.0, atol=1e-12)
+
+
+def test_partial_trace_of_pure_state_rejects_bad_keep():
+    psi = w_state(0.4)
+    with pytest.raises(ValidationError, match="nonempty"):
+        partial_trace(psi, [])
+    with pytest.raises(ValidationError, match="out of range"):
+        partial_trace(psi, [3])
+    with pytest.raises(ValidationError, match="out of range"):
+        partial_trace(psi, [-1])
 
 
 # ---------------------------------------------------------------------------

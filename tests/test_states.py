@@ -160,3 +160,22 @@ def test_haar_rejects_bad_count():
 def test_haar_rejects_over_cap_signature_before_drawing():
     with pytest.raises(CapacityError, match="exceeds the configured maximum 4096"):
         next(haar_random_pure((2,) * 13, 1, 0))
+
+
+def test_haar_rejects_negative_seed_before_drawing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a generator was seeded")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+        next(haar_random_pure((2, 2), 3, -1))
+
+
+@pytest.mark.parametrize(
+    "factory, args",
+    [(ghz, (math.inf, 1.0)), (ghz, (complex(1.0, math.nan), 1.0)), (ghz, (3e200, 4e200)),
+     (acin, (1.0, 1.0, -math.inf, 1.0))],
+)
+def test_non_finite_amplitude_parameters_rejected(factory, args):
+    with pytest.raises(ValidationError, match="must be finite"):
+        factory(*args)
