@@ -5,7 +5,8 @@ exits 0 when the residual is below tolerance, ``sweep`` tabulates measures
 over a parameter grid to CSV, and ``audit`` runs a balance over a
 Haar-random ensemble.  Exit codes: 0 pass, 1 residual over tolerance,
 2 input error (including NaN or infinite state data or factory parameters,
-a state-file number too large for a float, a non-finite sweep edge, a
+a state-file entry that is not a JSON number (booleans and numeric strings
+are refused) or is too large for a float, a non-finite sweep edge, a
 negative audit seed, a tolerance that is not a finite number >= 0, and a
 state file or audit signature whose total dimension exceeds
 ``Tolerances.max_total_dim``), 3 precondition error (for example a mixed
@@ -20,6 +21,9 @@ reduces each row's state once and passes that to every column.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import gc
+import itertools
 import json
 import math
 import os
@@ -49,8 +53,8 @@ from .measures import (
     coherence_l1,
     coherence_re,
     concurrence_generalized,
+    _nonlocal_coherence_hs,
     correlated_coherence,
-    nonlocal_coherence_hs_direct,
     predictability_hs,
     predictability_l1,
     predictability_vn,
@@ -77,6 +81,8 @@ EXIT_NUMERIC = 4
 
 _FLAVOR_FUNCS = {"hs": ccr_hs, "vn": ccr_vn, "mixedness": ccr_mixedness}
 
+_JSON_NUMBERS = {int, float}  # leaf types of a state file's [re, im] entries; not bool
+
 # Factory parameters that are probabilities; everything else is an amplitude
 # and accepts the re:im syntax.
 _REAL_PARAMS = {"w", "x", "p"}
@@ -91,9 +97,34 @@ def parse_state_file(data: bytes) -> PureState | DensityOperator:
 
     The document must carry ``dims`` (array of integers), ``kind`` ("pure"
     or "density"), and ``data``: a vector of [re, im] pairs for pure states,
-    or an array of such rows for density matrices.  A ``dims`` whose product
-    exceeds ``max_total_dim`` raises CapacityError before ``data`` is read.
+    or an array of such rows for density matrices.  Every re and im must be
+    a JSON number; booleans and numeric strings are refused.  A ``dims``
+    whose product exceeds ``max_total_dim`` raises CapacityError before
+    ``data`` is read.
     """
+    with _gc_paused():
+        signature, kind, values = _read_state_doc(data)
+    return PureState(signature, values) if kind == "pure" else DensityOperator(signature, values)
+
+
+@contextlib.contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector, and resume it only if it was running.
+
+    A D = 4096 file parses into 4097 lists, which a running collector would scan
+    and promote to older generations.  JSON holds no cycles: reference counting frees them.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _read_state_doc(data: bytes) -> tuple[DimensionSignature, str, np.ndarray]:
+    """The signature, kind and complex entries of a state file; the parsed JSON is freed on return."""
     try:
         doc = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -111,32 +142,50 @@ def parse_state_file(data: bytes) -> PureState | DensityOperator:
     _require_capacity(total, DEFAULT_TOL)
     kind = doc["kind"]
     if kind == "pure":
-        return PureState(signature, _complex_vector(doc["data"], total, "data"))
+        return signature, kind, _complex_entries(doc["data"], (total,))
     if kind == "density":
         rows = doc["data"]
         if not isinstance(rows, list) or len(rows) != total:
             raise ValidationError(f"data must be an array of {total} rows for dims {dims}")
-        matrix = np.array([_complex_vector(row, total, f"data[{i}]") for i, row in enumerate(rows)])
-        return DensityOperator(signature, matrix)
+        return signature, kind, _complex_entries(rows, (total, total))
     raise ValidationError(f"kind must be 'pure' or 'density', got {kind!r}")
 
 
-def _complex_vector(entries, expected_len: int, label: str) -> np.ndarray:
-    if not isinstance(entries, list) or len(entries) != expected_len:
-        raise ValidationError(f"{label} must be an array of {expected_len} [re, im] pairs")
-    out = np.empty(expected_len, dtype=np.complex128)
-    for i, pair in enumerate(entries):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
-        ):
-            raise ValidationError(f"{label}[{i}] must be a [re, im] pair of numbers")
-        try:
-            out[i] = complex(pair[0], pair[1])
-        except OverflowError as exc:
-            raise ValidationError(f"{label}[{i}] has an integer too large for a float") from exc
-    return out
+def _complex_entries(entries, shape: tuple[int, ...]) -> np.ndarray:
+    """Nested lists of [re, im] JSON numbers as a complex array of ``shape``.
+
+    One ``np.array`` call converts them, and ``view`` reads each float pair as
+    one complex128, the same bits as complex(re, im).  The leaf-type scan comes
+    first because numpy would read true as 1.0 and "1" as 1.0.
+    """
+    try:
+        leaves = entries
+        for _ in shape:
+            leaves = itertools.chain.from_iterable(leaves)
+        if set(map(type, leaves)) <= _JSON_NUMBERS:
+            values = np.array(entries, dtype=np.float64)
+            if values.shape == (*shape, 2):
+                return values.view(np.complex128).reshape(shape)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise _first_bad_entry(entries, shape)
+
+
+def _first_bad_entry(entries, shape: tuple[int, ...]) -> ValidationError:
+    """The error naming the first entry that ``_complex_entries`` could not convert."""
+    n = shape[-1]
+    vectors = [("data", entries)] if len(shape) == 1 else [(f"data[{i}]", row) for i, row in enumerate(entries)]
+    for label, vector in vectors:
+        if not isinstance(vector, list) or len(vector) != n:
+            return ValidationError(f"{label} must be an array of {n} [re, im] pairs")
+        for i, pair in enumerate(vector):
+            if not isinstance(pair, list) or len(pair) != 2 or not {type(v) for v in pair} <= _JSON_NUMBERS:
+                return ValidationError(f"{label}[{i}] must be a [re, im] pair of numbers")
+            try:
+                complex(pair[0], pair[1])
+            except OverflowError:
+                return ValidationError(f"{label}[{i}] has an integer too large for a float")
+    return ValidationError(f"data must hold {' x '.join(map(str, shape))} [re, im] pairs of JSON numbers")
 
 
 def serialize_state(state: PureState | DensityOperator) -> bytes:
@@ -179,8 +228,8 @@ def _corr_pairsum(kind: CoherenceKind):
 
 
 #: Measures addressable by name in sweep CSV columns, called as (rho, reduced, target)
-#: with the row's one reduction partial_trace(rho, [target]).  All but the
-#: correlation-type entries read only ``reduced``; "sum" totals the other columns.
+#: with the row's one reduction partial_trace(rho, [target]).  Only C_nl_hs and the
+#: correlation-type entries also read ``rho``; "sum" totals the other columns.
 MEASURES = {
     "P_hs": lambda rho, r, t: predictability_hs(r).value,
     "P_vn": lambda rho, r, t: predictability_vn(r).value,
@@ -191,7 +240,7 @@ MEASURES = {
     "S_vn": lambda rho, r, t: von_neumann_entropy(r),
     "S_l": lambda rho, r, t: linear_entropy(r),
     "purity": lambda rho, r, t: purity(r),
-    "C_nl_hs": lambda rho, r, t: nonlocal_coherence_hs_direct(rho, t).value,
+    "C_nl_hs": lambda rho, r, t: _nonlocal_coherence_hs(rho, t, r).value,
     "C_corr_hs": _corr_rest(CoherenceKind.HILBERT_SCHMIDT),
     "C_corr_l1": _corr_rest(CoherenceKind.L1_NORM),
     "C_corr_re": _corr_rest(CoherenceKind.RELATIVE_ENTROPY),

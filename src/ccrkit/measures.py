@@ -198,11 +198,19 @@ def nonlocal_coherence_hs_direct(
     target subsystem and on the joint index of the remaining subsystems,
     in the block form of ``_nonlocal_hs_sum``.
     """
+    return _nonlocal_coherence_hs(rho_full, target, None, tol)
+
+
+def _nonlocal_coherence_hs(
+    rho_full: PureState | DensityOperator, target: int, reduced: DensityOperator | None, tol: Tolerances | None = None
+) -> MeasureValue:
+    """nonlocal_coherence_hs_direct, reusing ``reduced`` = partial_trace(rho_full, [target]) when given."""
     tol = tol or DEFAULT_TOL
     target = _check_target(rho_full, target, need_partner=True)
     _require_pure(rho_full, tol, _PURE_ONLY)
+    if reduced is None:
+        reduced = partial_trace(rho_full, [target])
     d_t = rho_full.signature.dims[target]
-    reduced = partial_trace(rho_full, [target])
     return MeasureValue(_nonlocal_hs_sum(rho_full, target, reduced), (d_t - 1) / d_t, MeasureKind.C_NL_HS)
 
 

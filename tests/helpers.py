@@ -92,6 +92,11 @@ def brute_offdiag_defect(matrix, dims, left):
     return max(abs(abs(sum(terms)) ** 2 - sum(abs(t) ** 2 for t in terms)) for terms in term_lists)
 
 
+def complex_from_pairs(pairs):
+    """[re, im] pairs to complex128 one pair at a time; oracle for the one-call state-file parse."""
+    return np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
+
+
 def random_density_matrix(d, rng, rank=None):
     """Random mixed state G G^dag / Tr(...) with i.i.d. complex Gaussian G."""
     rank = rank or d

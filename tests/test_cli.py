@@ -1,6 +1,7 @@
 """CLI surface: state files, check/sweep/audit commands, exit codes."""
 
 import dataclasses
+import gc
 import json
 import math
 import tracemalloc
@@ -10,7 +11,19 @@ import pytest
 
 import ccrkit.cli
 import ccrkit.core
-from ccrkit import DensityOperator, NumericError, PureState, ValidationError, ccr_hs, density_from_pure, purity
+import ccrkit.measures
+from ccrkit import (
+    DensityOperator,
+    NumericError,
+    PreconditionError,
+    PureState,
+    ValidationError,
+    ccr_hs,
+    density_from_pure,
+    nonlocal_coherence_hs_direct,
+    partial_trace,
+    purity,
+)
 from ccrkit.cli import (
     EXIT_FAIL,
     EXIT_INPUT,
@@ -25,7 +38,8 @@ from ccrkit.cli import (
     render_sweep_csv,
     serialize_state,
 )
-from ccrkit.states import haar_random_pure, w_state
+from ccrkit.states import acin, haar_random_pure, w_state
+from helpers import complex_from_pairs, random_pure_vector
 
 
 BELL_DOC = {
@@ -103,6 +117,122 @@ def test_serialize_parse_roundtrip_density():
     back = parse_state_file(serialize_state(rho))
     assert isinstance(back, DensityOperator)
     assert np.array_equal(back.matrix, rho.matrix)
+
+
+# Entries that a per-pair complex(re, im) reads exactly: signed zeros,
+# subnormals, JSON integers and the float extremes.
+EDGE_NUMBERS = [-0.0, 0, 5e-324, -5e-324, 2.5e-320, 1e308, -1e308, 2**53 + 1, -(10**300), 3]
+
+
+def pairs_of(values):
+    return [[float(z.real), float(z.imag)] for z in values]
+
+
+@pytest.mark.parametrize("kind", ["pure", "density"])
+def test_parse_matches_per_pair_conversion_bit_for_bit(kind):
+    rng = np.random.default_rng(23)
+    for dims in [(3,), (2, 3), (2, 2, 2)]:
+        n = math.prod(dims)
+        # Basis states 0 and 1 carry no weight, so the edge-case entries
+        # written there (an integer, signed zeros, subnormals) keep the state valid.
+        vectors = [np.concatenate([[0, 0], random_pure_vector(n - 2, rng)]) for _ in range(2)]
+        if kind == "pure":
+            data = [[0, -0.0], [-0.0, 5e-324]] + pairs_of(vectors[0][2:])
+            expected = complex_from_pairs(data)
+        else:
+            data = [pairs_of(row) for row in sum(0.5 * np.outer(v, v.conj()) for v in vectors)]
+            data[0][:2] = [[0, 0], [-0.0, 5e-324]]
+            data[1][:2] = [[0, -5e-324], [-0.0, 0]]
+            expected = np.array([complex_from_pairs(row) for row in data])
+        state = parse_state_file(json.dumps({"dims": list(dims), "kind": kind, "data": data}).encode())
+        values = state.amplitudes if kind == "pure" else state.matrix
+        assert values.tobytes() == expected.tobytes()
+
+
+def test_pair_conversion_matches_per_pair_conversion_at_float_extremes():
+    rng = np.random.default_rng(29)
+    pairs = [[a, b] for a in EDGE_NUMBERS for b in EDGE_NUMBERS] + pairs_of(rng.standard_normal(7) * 1e300)
+    got = ccrkit.cli._complex_entries(pairs, (len(pairs),))
+    assert got.tobytes() == complex_from_pairs(pairs).tobytes()
+    rows = [pairs[k : k + 10] for k in range(0, 100, 10)]
+    got = ccrkit.cli._complex_entries(rows, (10, 10))
+    assert got.tobytes() == np.array([complex_from_pairs(row) for row in rows]).tobytes()
+
+
+def density_doc(rows):
+    return {"dims": [2, 2], "kind": "density", "data": rows}
+
+
+def diagonal_rows():
+    return [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+
+
+@pytest.mark.parametrize("kind", ["pure", "density"])
+@pytest.mark.parametrize(
+    "bad", [[True, 0], ["1", 0], [1, 0, 0], [1, [0]], [None, 0]], ids=["bool", "string", "three", "nested", "null"]
+)
+def test_check_file_with_non_number_pair_exits_2(tmp_path, capsys, kind, bad):
+    if kind == "pure":
+        doc = {**BELL_DOC, "data": BELL_DOC["data"][:2] + [bad] + BELL_DOC["data"][3:]}
+        where = "data[2]"
+    else:
+        rows = diagonal_rows()
+        rows[1][2] = bad
+        doc = density_doc(rows)
+        where = "data[1][2]"
+    path = write_json(tmp_path / "bad.json", doc)
+    assert main(["check", "--file", path, "--flavor", "mixedness"]) == EXIT_INPUT
+    assert f"{where} must be a [re, im] pair of numbers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["pure", "density"])
+@pytest.mark.parametrize("bad_row", ["ragged", "not a list"])
+def test_check_file_with_bad_row_exits_2(tmp_path, capsys, kind, bad_row):
+    if kind == "pure":
+        data = BELL_DOC["data"][:3] if bad_row == "ragged" else 5
+        doc, where, count = {**BELL_DOC, "data": data}, "data", 4
+    else:
+        rows = diagonal_rows()
+        rows[3] = rows[3][:3] if bad_row == "ragged" else 5
+        doc, where, count = density_doc(rows), "data[3]", 4
+    path = write_json(tmp_path / "bad.json", doc)
+    assert main(["check", "--file", path, "--flavor", "mixedness"]) == EXIT_INPUT
+    assert f"{where} must be an array of {count} [re, im] pairs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_parse_leaves_the_garbage_collector_as_it_found_it(enabled):
+    good = json.dumps(BELL_DOC).encode()
+    bad = json.dumps({**BELL_DOC, "data": [[True, 0]] * 4}).encode()
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        parse_state_file(good)
+        assert gc.isenabled() is enabled
+        with pytest.raises(ValidationError):
+            parse_state_file(bad)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_parse_of_a_cap_file_runs_no_collection():
+    raw = json.dumps(qubit_doc(12)).encode()
+    collections = []
+
+    def record(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(record)
+    try:
+        state = parse_state_file(raw)
+    finally:
+        gc.callbacks.remove(record)
+    assert state.amplitudes.shape == (4096,)
+    # The 4097 lists of the parsed JSON are freed by reference counting.
+    assert collections == []
 
 
 # ---------------------------------------------------------------------------
@@ -423,15 +553,31 @@ def test_sweep_reduces_once_per_row(tmp_path, monkeypatch):
         return reduce(rho, keep)
 
     monkeypatch.setattr(ccrkit.cli, "partial_trace", counting)
+    monkeypatch.setattr(ccrkit.measures, "partial_trace", counting)
     code = main(
         [
             "sweep", "--factory", "w", "--param", "p", "--start", "0", "--stop", "1",
-            "--points", "5", "--measures", "P_hs,C_hs,S_vn,purity", "--target", "1",
+            "--points", "5", "--measures", "P_hs,C_hs,S_vn,purity,C_nl_hs", "--target", "1",
             "--out", str(tmp_path / "w.csv"),
         ]
     )
     assert code == EXIT_OK
     assert calls == [[1]] * 5
+
+
+def test_sweep_nonlocal_column_checks_like_the_public_measure(capsys, tmp_path):
+    psi = density_from_pure(acin(0.5, 0.3j, -0.4, 0.2 + 0.1j))
+    for target in range(3):
+        reduced = partial_trace(psi, [target])
+        assert MEASURES["C_nl_hs"](psi, reduced, target) == nonlocal_coherence_hs_direct(psi, target).value
+    mixed = DensityOperator((2, 2), np.eye(4) / 4)
+    with pytest.raises(PreconditionError, match="global purity"):
+        MEASURES["C_nl_hs"](mixed, partial_trace(mixed, [0]), 0)
+    # The werner family is one qubit, so it fails the partner check first.
+    argv = ["sweep", "--factory", "werner", "--x", "0.6", "--param", "w", "--start", "0.5", "--stop", "1",
+            "--points", "2", "--measures", "C_nl_hs", "--out", str(tmp_path / "x.csv")]
+    assert main(argv) == EXIT_INPUT
+    assert "at least 2 subsystems" in capsys.readouterr().err
 
 
 def test_measure_registry_names_cover_figures():

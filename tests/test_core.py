@@ -147,8 +147,10 @@ def test_tensor_product_capacity_cap():
     bigger = DensityOperator((128,), np.eye(128) / 128)
     with pytest.raises(CapacityError):
         tensor_product([big, bigger])
-    loosened = tensor_product([big, bigger], tol=Tolerances(max_total_dim=10000))
-    assert loosened.signature.total == 8192
+    qubits = [maximally_mixed(2)] * 3
+    with pytest.raises(CapacityError):
+        tensor_product(qubits, tol=Tolerances(max_total_dim=4))
+    assert tensor_product(qubits, tol=Tolerances(max_total_dim=8)).signature.total == 8
 
 
 def test_density_from_pure_basis_state():
