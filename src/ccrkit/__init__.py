@@ -9,12 +9,10 @@ exposes balance checks, CSV parameter sweeps, and random audits.
 
 from .ccr import CCRFlavor, CCRReport, ccr_hs, ccr_inequality_gap, ccr_mixedness, ccr_vn
 from .core import (
-    DEFAULT_TOL,
     DensityOperator,
     DimensionSignature,
     PureState,
     Spectrum,
-    Tolerances,
     dephased,
     density_from_pure,
     hermitian_spectrum,
@@ -72,8 +70,6 @@ __all__ = [
     "PreconditionError",
     "NumericError",
     # core
-    "Tolerances",
-    "DEFAULT_TOL",
     "DimensionSignature",
     "PureState",
     "DensityOperator",

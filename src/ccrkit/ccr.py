@@ -18,10 +18,8 @@ import math
 from dataclasses import dataclass
 
 from .core import (
-    DEFAULT_TOL,
     DensityOperator,
     PureState,
-    Tolerances,
     _check_target,
     _require_pure,
     linear_entropy,
@@ -85,13 +83,10 @@ def _assemble(
     )
 
 
-def ccr_hs(
-    rho_full: PureState | DensityOperator, target: int, *, tol: Tolerances | None = None
-) -> CCRReport:
+def ccr_hs(rho_full: PureState | DensityOperator, target: int) -> CCRReport:
     """Hilbert-Schmidt balance P_hs + C_hs + C_nl_hs = (d - 1)/d for pure global states."""
-    tol = tol or DEFAULT_TOL
     target = _check_target(rho_full, target, need_partner=True)
-    _require_pure(rho_full, tol, "use ccr_mixedness for the mixed-state form")
+    _require_pure(rho_full, "use ccr_mixedness for the mixed-state form")
     reduced = partial_trace(rho_full, [target])
     d_t = rho_full.signature.dims[target]
     bound = (d_t - 1) / d_t
@@ -105,21 +100,18 @@ def ccr_hs(
     )
 
 
-def ccr_vn(
-    rho_full: PureState | DensityOperator, target: int, *, tol: Tolerances | None = None
-) -> CCRReport:
+def ccr_vn(rho_full: PureState | DensityOperator, target: int) -> CCRReport:
     """Entropic balance C_re + P_vn + S_vn = ln d on the target-vs-rest split.
 
     Reading S_vn of the reduced state as entanglement requires the global
     state to be pure, so mixed inputs are rejected.
     """
-    tol = tol or DEFAULT_TOL
     target = _check_target(rho_full, target, need_partner=True)
-    _require_pure(rho_full, tol, "the entropic CCR requires a pure global state")
+    _require_pure(rho_full, "the entropic CCR requires a pure global state")
     reduced = partial_trace(rho_full, [target])
     d_t = rho_full.signature.dims[target]
     bound = math.log(d_t)
-    s_vn = von_neumann_entropy(reduced, tol=tol)
+    s_vn = von_neumann_entropy(reduced)
     return _assemble(
         target,
         predictability_vn(reduced),

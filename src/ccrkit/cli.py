@@ -9,7 +9,7 @@ a state-file entry that is not a JSON number (booleans and numeric strings
 are refused) or is too large for a float, a non-finite sweep edge, a
 negative audit seed, a tolerance that is not a finite number >= 0, and a
 state file or audit signature whose total dimension exceeds
-``Tolerances.max_total_dim``), 3 precondition error (for example a mixed
+``core.MAX_TOTAL_DIM``), 3 precondition error (for example a mixed
 state fed to a pure-only flavor), 4 numeric failure (an eigenvalue solve
 that fails, or a measure that comes out NaN or infinite).
 
@@ -35,7 +35,6 @@ import numpy as np
 
 from .ccr import CCRReport, ccr_hs, ccr_mixedness, ccr_vn
 from .core import (
-    DEFAULT_TOL,
     DensityOperator,
     DimensionSignature,
     PureState,
@@ -53,7 +52,9 @@ from .measures import (
     coherence_l1,
     coherence_re,
     concurrence_generalized,
+    _correlated_coherence,
     _nonlocal_coherence_hs,
+    _split_bipartition,
     correlated_coherence,
     predictability_hs,
     predictability_l1,
@@ -99,7 +100,7 @@ def parse_state_file(data: bytes) -> PureState | DensityOperator:
     or "density"), and ``data``: a vector of [re, im] pairs for pure states,
     or an array of such rows for density matrices.  Every re and im must be
     a JSON number; booleans and numeric strings are refused.  A ``dims``
-    whose product exceeds ``max_total_dim`` raises CapacityError before
+    whose product exceeds ``core.MAX_TOTAL_DIM`` raises CapacityError before
     ``data`` is read.
     """
     with _gc_paused():
@@ -139,7 +140,7 @@ def _read_state_doc(data: bytes) -> tuple[DimensionSignature, str, np.ndarray]:
         raise ValidationError("dims must be a nonempty array of integers")
     signature = DimensionSignature(tuple(dims))
     total = signature.total
-    _require_capacity(total, DEFAULT_TOL)
+    _require_capacity(total)
     kind = doc["kind"]
     if kind == "pure":
         return signature, kind, _complex_entries(doc["data"], (total,))
@@ -210,7 +211,8 @@ def _others(rho: DensityOperator, target: int) -> list[int]:
 
 def _corr_rest(kind: CoherenceKind):
     def value(rho, reduced, target):
-        return correlated_coherence(rho, ([target], _others(rho, target)), kind)
+        _, rest = _split_bipartition(rho, ([target], _others(rho, target)))
+        return _correlated_coherence(rho, reduced, partial_trace(rho, rest), kind)
 
     return value
 
@@ -229,7 +231,8 @@ def _corr_pairsum(kind: CoherenceKind):
 
 #: Measures addressable by name in sweep CSV columns, called as (rho, reduced, target)
 #: with the row's one reduction partial_trace(rho, [target]).  Only C_nl_hs and the
-#: correlation-type entries also read ``rho``; "sum" totals the other columns.
+#: correlation-type entries also read ``rho``; C_corr_hs, C_corr_l1 and C_corr_re take
+#: ``reduced`` as their target side.  "sum" totals the other columns.
 MEASURES = {
     "P_hs": lambda rho, r, t: predictability_hs(r).value,
     "P_vn": lambda rho, r, t: predictability_vn(r).value,
@@ -509,8 +512,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: a parser costs about ten times a parse, and its objects form
+# reference cycles that only the cyclic collector frees.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except PreconditionError as exc:

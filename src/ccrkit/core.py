@@ -18,8 +18,6 @@ import numpy as np
 from .errors import CapacityError, NumericError, PreconditionError, ValidationError
 
 __all__ = [
-    "Tolerances",
-    "DEFAULT_TOL",
     "DimensionSignature",
     "PureState",
     "DensityOperator",
@@ -36,34 +34,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Numeric tolerances and capacity limits, overridable per call.
-
-    norm_atol        validation window for normalization / trace / Hermiticity
-    psd_floor        smallest eigenvalue allowed before a matrix is rejected
-    eig_clamp        eigenvalues in [-eig_clamp, 0] are snapped to 0
-    jacobi_offdiag   convergence target for the off-diagonal Frobenius norm
-                     (hermitian_spectrum only; entropies use LAPACK eigvalsh)
-    jacobi_max_sweeps  sweep budget before hermitian_spectrum gives up
-    purity_atol      |Tr rho^2 - 1| window for purity preconditions
-    rank_cutoff      eigenvalues above this count toward the purification rank
-    max_total_dim    largest total dimension accepted: tensor_product will not
-                     produce more, and the CLI refuses larger state files and
-                     audit signatures before it reads or samples any amplitude
-    """
-
-    norm_atol: float = 1e-12
-    psd_floor: float = -1e-10
-    eig_clamp: float = 1e-10
-    jacobi_offdiag: float = 1e-13
-    jacobi_max_sweeps: int = 100
-    purity_atol: float = 1e-10
-    rank_cutoff: float = 1e-12
-    max_total_dim: int = 4096
-
-
-DEFAULT_TOL = Tolerances()
+# Numeric windows and the capacity limit, read only inside this module.
+NORM_ATOL = 1e-12  # validation window for normalization / trace / Hermiticity
+PSD_FLOOR = -1e-10  # smallest eigenvalue allowed before a matrix is rejected
+EIG_CLAMP = 1e-10  # eigenvalues in [-EIG_CLAMP, 0] are snapped to 0
+JACOBI_OFFDIAG = 1e-13  # off-diagonal Frobenius norm at which hermitian_spectrum stops
+JACOBI_MAX_SWEEPS = 100  # sweep budget before hermitian_spectrum gives up
+PURITY_ATOL = 1e-10  # |Tr rho^2 - 1| window for purity preconditions
+RANK_CUTOFF = 1e-12  # eigenvalues above this count toward the purification rank
+# Largest total dimension accepted: tensor_product will not produce more, and
+# the CLI refuses larger state files and audit signatures before it reads or
+# samples any amplitude.
+MAX_TOTAL_DIM = 4096
 
 
 @dataclass(frozen=True)
@@ -110,8 +92,7 @@ class PureState:
 
     __slots__ = ("signature", "amplitudes")
 
-    def __init__(self, signature, amplitudes, *, tol: Tolerances | None = None):
-        tol = tol or DEFAULT_TOL
+    def __init__(self, signature, amplitudes):
         signature = _as_signature(signature)
         amps = np.array(amplitudes, dtype=np.complex128)
         if amps.shape != (signature.total,):
@@ -122,7 +103,7 @@ class PureState:
         if not np.all(np.isfinite(amps)):
             raise ValidationError("amplitude vector has NaN or infinite entries")
         norm_sq = float(np.vdot(amps, amps).real)
-        if abs(norm_sq - 1.0) > tol.norm_atol:
+        if abs(norm_sq - 1.0) > NORM_ATOL:
             raise ValidationError(f"state vector is not normalized: sum |a|^2 = {norm_sq!r}")
         amps.setflags(write=False)
         self.signature = signature
@@ -141,8 +122,7 @@ class DensityOperator:
 
     __slots__ = ("signature", "matrix")
 
-    def __init__(self, signature, matrix, *, tol: Tolerances | None = None):
-        tol = tol or DEFAULT_TOL
+    def __init__(self, signature, matrix):
         signature = _as_signature(signature)
         mat = np.array(matrix, dtype=np.complex128)
         d = signature.total
@@ -152,14 +132,18 @@ class DensityOperator:
             )
         if not np.all(np.isfinite(mat)):
             raise ValidationError("matrix has NaN or infinite entries")
-        herm_defect = float(np.max(np.abs(mat - mat.conj().T)))
-        if herm_defect > tol.norm_atol:
+        # Entries near the float limit make the defect and trace overflow to
+        # inf (or NaN); the negated comparisons below reject both.
+        with np.errstate(over="ignore", invalid="ignore"):
+            herm_defect = float(np.max(np.abs(mat - mat.conj().T)))
+            trace = complex(np.trace(mat))
+        if not herm_defect <= NORM_ATOL:
             raise ValidationError(f"matrix is not Hermitian: max |rho - rho^dag| = {herm_defect!r}")
-        trace = complex(np.trace(mat))
-        if abs(trace - 1.0) > tol.norm_atol:
+        if not abs(trace - 1.0) <= NORM_ATOL:
             raise ValidationError(f"matrix does not have unit trace: Tr rho = {trace!r}")
-        smallest = float(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T)).min())
-        if smallest < tol.psd_floor:
+        # Halving before adding keeps the symmetrised copy finite.
+        smallest = float(np.linalg.eigvalsh(0.5 * mat + 0.5 * mat.conj().T).min())
+        if not smallest >= PSD_FLOOR:
             raise ValidationError(
                 f"matrix is not positive semidefinite: smallest eigenvalue = {smallest!r}"
             )
@@ -197,13 +181,12 @@ class Spectrum:
     eigenvectors: np.ndarray
 
 
-def tensor_product(states: Sequence[DensityOperator], *, tol: Tolerances | None = None) -> DensityOperator:
+def tensor_product(states: Sequence[DensityOperator]) -> DensityOperator:
     """Kronecker product of density operators, signatures concatenated in order."""
-    tol = tol or DEFAULT_TOL
     states = list(states)
     if not states:
         raise ValidationError("tensor_product needs at least one state")
-    _require_capacity(math.prod(s.signature.total for s in states), tol)
+    _require_capacity(math.prod(s.signature.total for s in states))
     dims = tuple(d for s in states for d in s.signature.dims)
     out = states[0].matrix
     for s in states[1:]:
@@ -211,12 +194,10 @@ def tensor_product(states: Sequence[DensityOperator], *, tol: Tolerances | None 
     return _density_unchecked(DimensionSignature(dims), out)
 
 
-def _require_capacity(total: int, tol: Tolerances) -> None:
-    """Raise CapacityError if a total dimension exceeds ``tol.max_total_dim``."""
-    if total > tol.max_total_dim:
-        raise CapacityError(
-            f"total dimension {total} exceeds the configured maximum {tol.max_total_dim}"
-        )
+def _require_capacity(total: int) -> None:
+    """Raise CapacityError if a total dimension exceeds ``MAX_TOTAL_DIM``."""
+    if total > MAX_TOTAL_DIM:
+        raise CapacityError(f"total dimension {total} exceeds the configured maximum {MAX_TOTAL_DIM}")
 
 
 def density_from_pure(psi: PureState) -> DensityOperator:
@@ -235,7 +216,7 @@ def _check_target(state: PureState | DensityOperator, target: int, *, need_partn
     return target
 
 
-def _require_pure(state: PureState | DensityOperator, tol: Tolerances, hint: str) -> None:
+def _require_pure(state: PureState | DensityOperator, hint: str) -> None:
     """Raise PreconditionError, ending with ``hint``, unless Tr rho^2 = 1.
 
     A PureState passes at once: its constructor has already checked the norm.
@@ -243,7 +224,7 @@ def _require_pure(state: PureState | DensityOperator, tol: Tolerances, hint: str
     if isinstance(state, PureState):
         return
     p = purity(state)
-    if abs(p - 1.0) > tol.purity_atol:
+    if abs(p - 1.0) > PURITY_ATOL:
         raise PreconditionError(f"global state is not pure (Tr rho^2 = {p!r}); {hint}")
 
 
@@ -356,11 +337,11 @@ def _jacobi_rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
     v[:, q] = vcol_q
 
 
-def hermitian_spectrum(rho: DensityOperator, *, tol: Tolerances | None = None) -> Spectrum:
+def hermitian_spectrum(rho: DensityOperator) -> Spectrum:
     """Full eigendecomposition by cyclic Jacobi rotations.
 
     Sweeps over all index pairs, rotating each in turn, until the
-    off-diagonal Frobenius norm drops below ``tol.jacobi_offdiag``.
+    off-diagonal Frobenius norm drops below ``JACOBI_OFFDIAG``.
     Eigenvalues within the clamp window below zero are snapped to 0, and
     the pairs are returned in descending eigenvalue order.
 
@@ -369,23 +350,22 @@ def hermitian_spectrum(rho: DensityOperator, *, tol: Tolerances | None = None) -
     NumericError
         If the sweep budget is exhausted before convergence.
     """
-    tol = tol or DEFAULT_TOL
     a = np.array(rho.matrix, dtype=np.complex128)
     n = a.shape[0]
     v = np.eye(n, dtype=np.complex128)
-    for _ in range(tol.jacobi_max_sweeps):
-        if _offdiag_norm(a) < tol.jacobi_offdiag:
+    for _ in range(JACOBI_MAX_SWEEPS):
+        if _offdiag_norm(a) < JACOBI_OFFDIAG:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
                 _jacobi_rotate(a, v, p, q)
-    if _offdiag_norm(a) >= tol.jacobi_offdiag:
+    if _offdiag_norm(a) >= JACOBI_OFFDIAG:
         raise NumericError(
-            f"Jacobi eigensolver did not converge within {tol.jacobi_max_sweeps} sweeps "
+            f"Jacobi eigensolver did not converge within {JACOBI_MAX_SWEEPS} sweeps "
             f"(off-diagonal norm {_offdiag_norm(a):.3e})"
         )
     w = np.diag(a).real.copy()
-    w[(w < 0.0) & (w >= -tol.eig_clamp)] = 0.0
+    w[(w < 0.0) & (w >= -EIG_CLAMP)] = 0.0
     order = np.argsort(w, kind="stable")[::-1]
     eigenvalues = w[order]
     eigenvectors = v[:, order]
@@ -394,24 +374,23 @@ def hermitian_spectrum(rho: DensityOperator, *, tol: Tolerances | None = None) -
     return Spectrum(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
-def von_neumann_entropy(rho: DensityOperator, *, tol: Tolerances | None = None) -> float:
+def von_neumann_entropy(rho: DensityOperator) -> float:
     """-sum lambda ln lambda over the spectrum (natural log, 0 ln 0 = 0).
 
     The eigenvalues come from one LAPACK ``eigvalsh`` call and are summed in
     descending order, as ``hermitian_spectrum`` returns them; values in
-    ``[-tol.eig_clamp, 0)`` are snapped to 0 as there.
+    ``[-EIG_CLAMP, 0)`` are snapped to 0 as there.
 
     Raises
     ------
     NumericError
         If LAPACK reports that the eigenvalue solve failed.
     """
-    tol = tol or DEFAULT_TOL
     try:
         w = np.linalg.eigvalsh(rho.matrix)[::-1].copy()
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigenvalue solve failed: {exc}") from exc
-    w[(w < 0.0) & (w >= -tol.eig_clamp)] = 0.0
+    w[(w < 0.0) & (w >= -EIG_CLAMP)] = 0.0
     return _entropy(w)
 
 
@@ -420,20 +399,19 @@ def dephased(rho: DensityOperator) -> DensityOperator:
     return _density_unchecked(rho.signature, np.diag(np.diag(rho.matrix).real.astype(np.complex128)))
 
 
-def purify(rho: DensityOperator, *, tol: Tolerances | None = None) -> PureState:
+def purify(rho: DensityOperator) -> PureState:
     """Embed rho as subsystem 0 of a pure state on system x ancilla.
 
     The ancilla dimension equals the rank of rho (eigenvalues above
-    ``tol.rank_cutoff``), and the amplitudes are sqrt(lambda_k) on the
+    ``RANK_CUTOFF``), and the amplitudes are sqrt(lambda_k) on the
     Schmidt pairs, so tracing out the ancilla recovers rho.  The system
     side is returned as a single subsystem of the full dimension.
     """
-    tol = tol or DEFAULT_TOL
-    spectrum = hermitian_spectrum(rho, tol=tol)
-    mask = spectrum.eigenvalues > tol.rank_cutoff
+    spectrum = hermitian_spectrum(rho)
+    mask = spectrum.eigenvalues > RANK_CUTOFF
     lam = spectrum.eigenvalues[mask]
     vecs = spectrum.eigenvectors[:, mask]
     amps = (vecs * np.sqrt(lam)).reshape(-1)
     amps = amps / np.linalg.norm(amps)
     d = rho.signature.total
-    return PureState(DimensionSignature((d, int(lam.size))), amps, tol=tol)
+    return PureState(DimensionSignature((d, int(lam.size))), amps)

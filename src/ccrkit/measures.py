@@ -17,10 +17,8 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .core import (
-    DEFAULT_TOL,
     DensityOperator,
     PureState,
-    Tolerances,
     _block_view,
     _check_target,
     _entropy,
@@ -147,9 +145,9 @@ def coherence_l1(rho: DensityOperator) -> MeasureValue:
     return MeasureValue(float(np.sum(np.abs(_offdiag(rho)))), d - 1, MeasureKind.C_L1)
 
 
-def coherence_re(rho: DensityOperator, *, tol: Tolerances | None = None) -> MeasureValue:
+def coherence_re(rho: DensityOperator) -> MeasureValue:
     """S_vn(diag(rho)) - S_vn(rho), the relative entropy of coherence; bound ln d."""
-    return _coherence_re(rho, von_neumann_entropy(rho, tol=tol))
+    return _coherence_re(rho, von_neumann_entropy(rho))
 
 
 def _coherence_re(rho: DensityOperator, s_vn: float) -> MeasureValue:
@@ -188,9 +186,7 @@ def _nonlocal_hs_sum(state: PureState | DensityOperator, target: int, reduced: D
     return float(np.sum((blocks - np.abs(reduced.matrix) ** 2)[off]))
 
 
-def nonlocal_coherence_hs_direct(
-    rho_full: PureState | DensityOperator, target: int, *, tol: Tolerances | None = None
-) -> MeasureValue:
+def nonlocal_coherence_hs_direct(rho_full: PureState | DensityOperator, target: int) -> MeasureValue:
     """Non-local Hilbert-Schmidt coherence of ``target``, by the index-partition sum.
 
     Requires a globally pure state, given as a PureState or as its density
@@ -198,33 +194,29 @@ def nonlocal_coherence_hs_direct(
     target subsystem and on the joint index of the remaining subsystems,
     in the block form of ``_nonlocal_hs_sum``.
     """
-    return _nonlocal_coherence_hs(rho_full, target, None, tol)
+    return _nonlocal_coherence_hs(rho_full, target, None)
 
 
 def _nonlocal_coherence_hs(
-    rho_full: PureState | DensityOperator, target: int, reduced: DensityOperator | None, tol: Tolerances | None = None
+    rho_full: PureState | DensityOperator, target: int, reduced: DensityOperator | None
 ) -> MeasureValue:
     """nonlocal_coherence_hs_direct, reusing ``reduced`` = partial_trace(rho_full, [target]) when given."""
-    tol = tol or DEFAULT_TOL
     target = _check_target(rho_full, target, need_partner=True)
-    _require_pure(rho_full, tol, _PURE_ONLY)
+    _require_pure(rho_full, _PURE_ONLY)
     if reduced is None:
         reduced = partial_trace(rho_full, [target])
     d_t = rho_full.signature.dims[target]
     return MeasureValue(_nonlocal_hs_sum(rho_full, target, reduced), (d_t - 1) / d_t, MeasureKind.C_NL_HS)
 
 
-def nonlocal_coherence_hs_via_entropy(
-    rho_full: PureState | DensityOperator, target: int, *, tol: Tolerances | None = None
-) -> MeasureValue:
+def nonlocal_coherence_hs_via_entropy(rho_full: PureState | DensityOperator, target: int) -> MeasureValue:
     """Non-local coherence of ``target`` as the linear entropy of its reduced state.
 
     For globally pure states this equals the explicit index-partition sum,
     which makes the two routes independent cross-checks of each other.
     """
-    tol = tol or DEFAULT_TOL
     target = _check_target(rho_full, target, need_partner=True)
-    _require_pure(rho_full, tol, _PURE_ONLY)
+    _require_pure(rho_full, _PURE_ONLY)
     d_t = rho_full.signature.dims[target]
     value = linear_entropy(partial_trace(rho_full, [target]))
     return MeasureValue(value, (d_t - 1) / d_t, MeasureKind.C_NL_HS)
@@ -267,12 +259,15 @@ def correlated_coherence(
     one), so the raw value is returned rather than a MeasureValue.
     """
     left, right = _split_bipartition(rho_joint, bipartition)
+    return _correlated_coherence(rho_joint, partial_trace(rho_joint, left), partial_trace(rho_joint, right), kind)
+
+
+def _correlated_coherence(
+    joint: DensityOperator, left_rho: DensityOperator, right_rho: DensityOperator, kind: CoherenceKind
+) -> float:
+    """correlated_coherence given the two reductions of ``joint``, for callers that already hold them."""
     coherence = _COHERENCE_BY_KIND[kind]
-    return (
-        coherence(rho_joint)
-        - coherence(partial_trace(rho_joint, left))
-        - coherence(partial_trace(rho_joint, right))
-    )
+    return coherence(joint) - coherence(left_rho) - coherence(right_rho)
 
 
 def concurrence_generalized(rho_reduced: DensityOperator) -> MeasureValue:

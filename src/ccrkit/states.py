@@ -12,7 +12,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import DEFAULT_TOL, DensityOperator, DimensionSignature, PureState, _require_capacity
+from .core import DensityOperator, DimensionSignature, PureState, _require_capacity
 from .errors import ValidationError
 
 __all__ = [
@@ -49,7 +49,14 @@ def _normalized(amplitudes: np.ndarray) -> np.ndarray:
     if not math.isfinite(norm):
         raise ValidationError("amplitude parameters must be finite, with a sum of squares that fits in a float")
     if norm < 1e-15:
-        raise ValidationError("amplitude parameters are all zero")
+        # The squares may underflow although the ratios are well defined:
+        # scale the largest modulus to 1 and take the norm again.  The float
+        # pairs are divided, since complex division by a subnormal overflows.
+        peak = float(np.max(np.abs(amplitudes)))
+        if peak == 0.0:
+            raise ValidationError("amplitude parameters are all zero")
+        amplitudes = (amplitudes.view(np.float64) / peak).view(np.complex128)
+        norm = float(np.linalg.norm(amplitudes))
     return amplitudes / norm
 
 
@@ -163,13 +170,13 @@ def haar_random_pure(signature, count: int, seed: int) -> Iterator[PureState]:
 
     Each state normalizes a vector of i.i.d. standard complex Gaussian
     amplitudes; draws with a pre-normalization norm below 1e-6 are thrown
-    away and resampled.  A signature over ``max_total_dim`` raises
+    away and resampled.  A signature over ``core.MAX_TOTAL_DIM`` raises
     CapacityError, and a negative ``seed`` raises ValidationError, before
     anything is drawn.
     """
     if not isinstance(signature, DimensionSignature):
         signature = DimensionSignature(tuple(signature))
-    _require_capacity(signature.total, DEFAULT_TOL)
+    _require_capacity(signature.total)
     count = int(count)
     if count < 1:
         raise ValidationError(f"count must be positive, got {count}")

@@ -13,6 +13,7 @@ import ccrkit.cli
 import ccrkit.core
 import ccrkit.measures
 from ccrkit import (
+    CapacityError,
     DensityOperator,
     NumericError,
     PreconditionError,
@@ -23,6 +24,7 @@ from ccrkit import (
     nonlocal_coherence_hs_direct,
     partial_trace,
     purity,
+    tensor_product,
 )
 from ccrkit.cli import (
     EXIT_FAIL,
@@ -329,6 +331,35 @@ def test_check_at_cap_pure_file_passes(tmp_path):
         assert main(["check", "--file", path, "--flavor", flavor, "--target", "5"]) == EXIT_OK
 
 
+def test_one_cap_governs_tensor_product_state_files_and_audits(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(ccrkit.core, "MAX_TOTAL_DIM", 8)
+    qubit = DensityOperator((2,), np.eye(2) / 2)
+    with pytest.raises(CapacityError, match="maximum 8"):
+        tensor_product([qubit] * 4)
+    path = write_json(tmp_path / "q4.json", qubit_doc(4))
+    assert main(["check", "--file", path, "--flavor", "hs"]) == EXIT_INPUT
+    assert "exceeds the configured maximum 8" in capsys.readouterr().err
+    with pytest.raises(CapacityError, match="maximum 8"):
+        next(haar_random_pure((2,) * 4, 1, 0))
+    assert main("audit --dims 2,2,2,2 --count 1 --flavor hs".split()) == EXIT_INPUT
+    assert "exceeds the configured maximum 8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([[[0.5, 0], [1e308, 0]], [[1e308, 0], [0.5, 0]]], "positive semidefinite"),
+        ([[[0.5, 0], [1e308, 0]], [[-1e308, 0], [0.5, 0]]], "Hermitian"),
+        ([[[1e308, 0], [0, 0]], [[0, 0], [1e308, 0]]], "unit trace"),
+    ],
+)
+def test_check_density_file_with_huge_entries_exits_2(tmp_path, capsys, rows, message):
+    # The suite turns RuntimeWarning into an error, so an overflow warning fails here too.
+    path = write_json(tmp_path / "huge.json", {"dims": [2], "kind": "density", "data": rows})
+    assert main(["check", "--file", path, "--flavor", "mixedness"]) == EXIT_INPUT
+    assert message in capsys.readouterr().err
+
+
 def test_check_and_audit_never_build_the_density_of_a_pure_state(tmp_path, monkeypatch):
     def refuse(psi):
         raise AssertionError("density_from_pure called on a pure input")
@@ -402,6 +433,25 @@ def test_check_non_finite_amplitude_exits_2(a000, capsys):
     argv = ["check", "--factory", "ghz", f"--a000={a000}", "--a111", "1", "--flavor", "hs"]
     assert main(argv) == EXIT_INPUT
     assert "amplitude parameters must be finite" in capsys.readouterr().err
+
+
+def test_check_tiny_amplitudes_match_their_ratios(capsys):
+    base = "check --factory ghz --flavor hs --json".split()
+    assert main(base + ["--a000", "1", "--a111", "1"]) == EXIT_OK
+    want = capsys.readouterr().out
+    for tiny in ("1e-200", "5e-324"):
+        assert main(base + ["--a000", tiny, "--a111", tiny]) == EXIT_OK
+        assert capsys.readouterr().out == want
+    assert main(base + ["--a000", "0", "--a111", "0:0"]) == EXIT_INPUT
+    assert "all zero" in capsys.readouterr().err
+
+
+def test_warm_check_leaves_no_cyclic_garbage(capsys):
+    argv = "check --factory ghz --a000 0.6 --a111 0.8 --flavor hs".split()
+    assert main(argv) == EXIT_OK
+    gc.collect()
+    assert main(argv) == EXIT_OK
+    assert gc.collect() == 0
 
 
 def test_check_bad_amplitude_syntax_exits_2():
@@ -563,6 +613,17 @@ def test_sweep_reduces_once_per_row(tmp_path, monkeypatch):
     )
     assert code == EXIT_OK
     assert calls == [[1]] * 5
+    # A C_corr_* column reduces only onto the rest; the target side is the row's reduction.
+    calls.clear()
+    code = main(
+        [
+            "sweep", "--factory", "qutrit-jb", "--param", "x", "--start", "0", "--stop", "1",
+            "--points", "5", "--measures", "P_l1,C_corr_l1", "--target", "1",
+            "--out", str(tmp_path / "qutrit.csv"),
+        ]
+    )
+    assert code == EXIT_OK
+    assert calls == [[1], [0]] * 5
 
 
 def test_sweep_nonlocal_column_checks_like_the_public_measure(capsys, tmp_path):

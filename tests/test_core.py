@@ -14,7 +14,6 @@ from ccrkit import (
     DimensionSignature,
     NumericError,
     PureState,
-    Tolerances,
     ValidationError,
     dephased,
     density_from_pure,
@@ -142,15 +141,17 @@ def test_tensor_product_needs_input():
         tensor_product([])
 
 
-def test_tensor_product_capacity_cap():
+def test_tensor_product_capacity_cap(monkeypatch):
     big = DensityOperator((64,), np.eye(64) / 64)
     bigger = DensityOperator((128,), np.eye(128) / 128)
     with pytest.raises(CapacityError):
         tensor_product([big, bigger])
     qubits = [maximally_mixed(2)] * 3
+    monkeypatch.setattr(ccrkit.core, "MAX_TOTAL_DIM", 4)
     with pytest.raises(CapacityError):
-        tensor_product(qubits, tol=Tolerances(max_total_dim=4))
-    assert tensor_product(qubits, tol=Tolerances(max_total_dim=8)).signature.total == 8
+        tensor_product(qubits)
+    monkeypatch.setattr(ccrkit.core, "MAX_TOTAL_DIM", 8)
+    assert tensor_product(qubits).signature.total == 8
 
 
 def test_density_from_pure_basis_state():
@@ -328,9 +329,10 @@ def test_spectrum_matches_lapack_oracle(d):
     assert abs(w.sum() - 1.0) < 1e-10
 
 
-def test_spectrum_nonconvergence_raises():
+def test_spectrum_nonconvergence_raises(monkeypatch):
+    monkeypatch.setattr(ccrkit.core, "JACOBI_MAX_SWEEPS", 0)
     with pytest.raises(NumericError, match="converge"):
-        hermitian_spectrum(plus_state(), tol=Tolerances(jacobi_max_sweeps=0))
+        hermitian_spectrum(plus_state())
 
 
 def test_vn_entropy_pure_state_is_zero():
