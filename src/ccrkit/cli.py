@@ -5,11 +5,14 @@ exits 0 when the residual is below tolerance, ``sweep`` tabulates measures
 over a parameter grid to CSV, and ``audit`` runs a balance over a
 Haar-random ensemble.  Exit codes: 0 pass, 1 residual over tolerance,
 2 input error (including NaN or infinite state data or factory parameters,
-a state-file entry that is not a JSON number (booleans and numeric strings
-are refused) or is too large for a float, a non-finite sweep edge, a
-negative audit seed, a tolerance that is not a finite number >= 0, and a
-state file or audit signature whose total dimension exceeds
-``core.MAX_TOTAL_DIM``), 3 precondition error (for example a mixed
+a factory flag that is not 're' or 're:im', a w, x or p that is not real
+or not in [0, 1], a factory flag the chosen factory does not take, any
+factory flag given with ``--file``, a swept parameter also given as a
+fixed flag, a state-file entry that is not a JSON number (booleans and
+numeric strings are refused) or is too large for a float, a non-finite
+sweep edge, a negative audit seed, a tolerance that is not a finite
+number >= 0, and a state file or audit signature whose total dimension
+exceeds ``core.MAX_TOTAL_DIM``), 3 precondition error (for example a mixed
 state fed to a pure-only flavor), 4 numeric failure (an eigenvalue solve
 that fails, or a measure that comes out NaN or infinite).
 
@@ -38,6 +41,7 @@ from .core import (
     DensityOperator,
     DimensionSignature,
     PureState,
+    _check_target,
     _require_capacity,
     density_from_pure,
     linear_entropy,
@@ -54,7 +58,6 @@ from .measures import (
     concurrence_generalized,
     _correlated_coherence,
     _nonlocal_coherence_hs,
-    _split_bipartition,
     correlated_coherence,
     predictability_hs,
     predictability_l1,
@@ -84,9 +87,8 @@ _FLAVOR_FUNCS = {"hs": ccr_hs, "vn": ccr_vn, "mixedness": ccr_mixedness}
 
 _JSON_NUMBERS = {int, float}  # leaf types of a state file's [re, im] entries; not bool
 
-# Factory parameters that are probabilities; everything else is an amplitude
-# and accepts the re:im syntax.
-_REAL_PARAMS = {"w", "x", "p"}
+# One flag per factory parameter name; ``build`` checks which ones a variant takes.
+_FACTORY_FLAGS = sorted({name for names in FACTORY_PARAMS.values() for name in names})
 
 
 # ---------------------------------------------------------------------------
@@ -211,14 +213,15 @@ def _others(rho: DensityOperator, target: int) -> list[int]:
 
 def _corr_rest(kind: CoherenceKind):
     def value(rho, reduced, target):
-        _, rest = _split_bipartition(rho, ([target], _others(rho, target)))
-        return _correlated_coherence(rho, reduced, partial_trace(rho, rest), kind)
+        target = _check_target(rho, target, need_partner=True)
+        return _correlated_coherence(rho, reduced, partial_trace(rho, _others(rho, target)), kind)
 
     return value
 
 
 def _corr_pairsum(kind: CoherenceKind):
     def value(rho, reduced, target):
+        target = _check_target(rho, target, need_partner=True)
         total = 0.0
         for m in _others(rho, target):
             pair = partial_trace(rho, [target, m])
@@ -283,14 +286,10 @@ def _validate_sweep(config: SweepConfig) -> None:
         raise ValidationError(
             f"sweep grid edges must be finite with a finite span, got {config.start!r} and {config.stop!r}"
         )
+    if config.param in config.fixed:
+        raise ValidationError(f"parameter {config.param!r} is swept, so it cannot also be fixed")
     if config.points < 2:
         raise ValidationError(f"sweep needs at least 2 grid points, got {config.points}")
-    if config.param in _REAL_PARAMS:
-        for edge in (config.start, config.stop):
-            if not 0.0 <= edge <= 1.0:
-                raise ValidationError(
-                    f"grid for parameter {config.param!r} must stay in [0, 1], got {edge!r}"
-                )
     if not config.measures:
         raise ValidationError("sweep needs at least one measure column")
     unknown = [m for m in config.measures if m != "sum" and m not in MEASURES]
@@ -325,31 +324,30 @@ def render_sweep_csv(config: SweepConfig) -> str:
 # Commands
 
 
-def _parse_amplitude(text: str) -> complex:
-    """Parse 're' or 're:im' into a complex number."""
+def _parse_param(name: str, text: str) -> complex:
+    """Parse the text of factory flag ``--name``, 're' or 're:im', into a complex number."""
     try:
         if ":" in text:
             re_part, im_part = text.split(":", 1)
             return complex(float(re_part), float(im_part))
         return complex(float(text), 0.0)
     except ValueError as exc:
-        raise ValidationError(f"cannot parse amplitude {text!r}; expected 're' or 're:im'") from exc
+        raise ValidationError(f"cannot parse --{name} {text!r}; expected 're' or 're:im'") from exc
 
 
-def _collect_factory_params(args, variant: str) -> dict:
-    params = {}
-    for name in FACTORY_PARAMS[variant]:
-        raw = getattr(args, name, None)
-        if raw is None:
-            raise ValidationError(f"variant {variant!r} requires --{name}")
-        params[name] = float(raw) if name in _REAL_PARAMS else _parse_amplitude(raw)
-    return params
+def _factory_params(args) -> dict:
+    """The factory flags given, parsed; ``build`` refuses missing and unexpected names."""
+    given = {name: getattr(args, name) for name in _FACTORY_FLAGS}
+    return {name: _parse_param(name, text) for name, text in given.items() if text is not None}
 
 
 def _load_state(args) -> PureState | DensityOperator:
-    if args.file is not None:
-        return parse_state_file(Path(args.file).read_bytes())
-    return build(args.factory, **_collect_factory_params(args, args.factory))
+    params = _factory_params(args)
+    if args.file is None:
+        return build(args.factory, **params)
+    if params:
+        raise ValidationError(f"--file takes no factory parameters, got {sorted(params)}")
+    return parse_state_file(Path(args.file).read_bytes())
 
 
 def _resolve_tolerance(args) -> float:
@@ -403,14 +401,6 @@ def cmd_check(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    fixed = {}
-    for name in FACTORY_PARAMS[args.factory]:
-        if name == args.param:
-            continue
-        raw = getattr(args, name, None)
-        if raw is None:
-            raise ValidationError(f"sweep of {args.factory!r} requires fixed --{name}")
-        fixed[name] = float(raw) if name in _REAL_PARAMS else _parse_amplitude(raw)
     config = SweepConfig(
         variant=args.factory,
         param=args.param,
@@ -418,7 +408,7 @@ def cmd_sweep(args) -> int:
         stop=args.stop,
         points=args.points,
         measures=tuple(name.strip() for name in args.measures.split(",") if name.strip()),
-        fixed=fixed,
+        fixed=_factory_params(args),
         target=args.target,
     )
     text = render_sweep_csv(config)
@@ -460,13 +450,9 @@ def cmd_audit(args) -> int:
 
 
 def _add_factory_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--w", type=float, help="mixing weight in [0, 1] (werner)")
-    parser.add_argument("--x", type=float, help="amplitude parameter in [0, 1]")
-    parser.add_argument("--p", type=float, help="excitation weight in [0, 1] (w state)")
-    parser.add_argument("--a000", help="amplitude, 're' or 're:im' (ghz)")
-    parser.add_argument("--a111", help="amplitude, 're' or 're:im' (ghz)")
-    for i in range(1, 6):
-        parser.add_argument(f"--lambda{i}", help="coefficient, 're' or 're:im'")
+    for name in _FACTORY_FLAGS:
+        takers = ", ".join(variant for variant, names in FACTORY_PARAMS.items() if name in names)
+        parser.add_argument(f"--{name}", help=f"'re' or 're:im' ({takers})")
 
 
 def build_parser() -> argparse.ArgumentParser:

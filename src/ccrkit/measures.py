@@ -59,7 +59,6 @@ class MeasureKind(enum.Enum):
     C_RE = "C_re"
     C_L1 = "C_l1"
     C_NL_HS = "C_nl_hs"
-    C_CORR = "C_corr"
     CONCURRENCE = "concurrence"
     # Entropy terms that close the balances in CCR reports.
     S_VN = "S_vn"

@@ -2,7 +2,7 @@
 
 Amplitude-parameterized families (ghz, five-term, acin) are normalized at
 construction, so parameters only need the right ratios; probability-like
-parameters (w, x, p) must lie in [0, 1].
+parameters (w, x, p) must be real and lie in [0, 1].
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ __all__ = [
 ]
 
 
-def _check_unit_interval(name: str, value: float) -> float:
-    value = float(value)
+def _check_unit_interval(name: str, value) -> float:
+    value = _check_real(name, value)
     if not 0.0 <= value <= 1.0:
         raise ValidationError(f"parameter {name} must lie in [0, 1], got {value!r}")
     return value
@@ -145,7 +145,8 @@ _FACTORIES = {
     "acin": (acin, ("lambda1", "lambda2", "lambda3", "lambda4")),
 }
 
-#: Parameter names accepted by each factory variant, keyed by CLI name.
+#: Parameter names accepted by each factory variant, keyed by CLI name; the CLI
+#: makes one flag per name and passes the given ones to ``build``.
 FACTORY_PARAMS = {name: params for name, (_, params) in _FACTORIES.items()}
 
 

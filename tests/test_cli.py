@@ -40,7 +40,7 @@ from ccrkit.cli import (
     render_sweep_csv,
     serialize_state,
 )
-from ccrkit.states import acin, haar_random_pure, w_state
+from ccrkit.states import FACTORY_PARAMS, acin, haar_random_pure, w_state
 from helpers import complex_from_pairs, random_pure_vector
 
 
@@ -459,6 +459,48 @@ def test_check_bad_amplitude_syntax_exits_2():
     assert code == EXIT_INPUT
 
 
+def test_parse_error_names_the_flag(capsys):
+    assert main("check --factory werner --w 0.5 --x abc --flavor mixedness".split()) == EXIT_INPUT
+    assert "cannot parse --x 'abc'; expected 're' or 're:im'" in capsys.readouterr().err
+
+
+def test_probability_flags_must_be_real(capsys):
+    assert main("check --factory werner --w 0.5:0.1 --x 0.6 --flavor mixedness".split()) == EXIT_INPUT
+    assert "parameter w must be real" in capsys.readouterr().err
+    # A zero imaginary part is still a real value, with the same report.
+    assert main("check --factory werner --w 0.5 --x 0.6 --flavor mixedness --json".split()) == EXIT_OK
+    want = capsys.readouterr().out
+    assert main("check --factory werner --w 0.5:0 --x 0.6:-0 --flavor mixedness --json".split()) == EXIT_OK
+    assert capsys.readouterr().out == want
+
+
+def test_check_refuses_a_flag_its_factory_does_not_take(capsys):
+    assert main("check --factory w --p 0.5 --x 0.9 --flavor hs".split()) == EXIT_INPUT
+    assert "unexpected parameters ['x']" in capsys.readouterr().err
+
+
+def test_check_file_refuses_factory_flags(tmp_path, capsys):
+    path = write_json(tmp_path / "bell.json", BELL_DOC)
+    assert main(["check", "--file", path, "--flavor", "hs"]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["check", "--file", path, "--w", "0.5", "--flavor", "hs"]) == EXIT_INPUT
+    assert "--file takes no factory parameters, got ['w']" in capsys.readouterr().err
+    assert main(["check", "--file", path, "--lambda3", "1", "--flavor", "hs"]) == EXIT_INPUT
+
+
+@pytest.mark.parametrize("command", ["check", "sweep"])
+def test_factory_flags_come_from_the_factory_schema(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    names = sorted({name for names in FACTORY_PARAMS.values() for name in names})
+    assert len(names) == 10
+    for name in names:
+        takers = ", ".join(v for v, params in FACTORY_PARAMS.items() if name in params)
+        assert f"--{name} {name.upper()} 're' or 're:im' ({takers})" in help_text
+
+
 # ---------------------------------------------------------------------------
 # sweep command
 
@@ -639,6 +681,49 @@ def test_sweep_nonlocal_column_checks_like_the_public_measure(capsys, tmp_path):
             "--points", "2", "--measures", "C_nl_hs", "--out", str(tmp_path / "x.csv")]
     assert main(argv) == EXIT_INPUT
     assert "at least 2 subsystems" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "measure", ["C_corr_hs", "C_corr_l1", "C_corr_re", "C_corr_hs_pairsum", "C_corr_l1_pairsum"]
+)
+def test_sweep_correlation_columns_need_a_partner(measure, capsys, tmp_path):
+    out = tmp_path / "x.csv"
+    argv = ["sweep", "--factory", "werner", "--x", "0.6", "--param", "w", "--start", "0.5", "--stop", "1",
+            "--points", "2", "--measures", measure, "--out", str(out)]
+    assert main(argv) == EXIT_INPUT
+    assert "at least 2 subsystems" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_refuses_a_swept_parameter_also_fixed(capsys, tmp_path):
+    out = tmp_path / "x.csv"
+    argv = ["sweep", "--factory", "w", "--param", "p", "--p", "0.3", "--start", "0", "--stop", "1",
+            "--points", "3", "--measures", "P_hs", "--out", str(out)]
+    assert main(argv) == EXIT_INPUT
+    assert "'p' is swept" in capsys.readouterr().err
+    assert not out.exists()
+    config = SweepConfig(variant="w", param="p", start=0.0, stop=1.0, points=3, measures=("P_hs",),
+                         fixed={"p": 0.3})
+    with pytest.raises(ValidationError, match="'p' is swept"):
+        render_sweep_csv(config)
+
+
+def test_sweep_refuses_a_flag_its_factory_does_not_take(capsys, tmp_path):
+    out = tmp_path / "x.csv"
+    argv = ["sweep", "--factory", "w", "--param", "p", "--x", "0.3", "--start", "0", "--stop", "1",
+            "--points", "3", "--measures", "P_hs", "--out", str(out)]
+    assert main(argv) == EXIT_INPUT
+    assert "unexpected parameters ['x']" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_out_of_range_edge_writes_no_file(capsys, tmp_path):
+    out = tmp_path / "x.csv"
+    argv = ["sweep", "--factory", "werner", "--x", "0.6", "--param", "w", "--start", "0", "--stop", "1.5",
+            "--points", "4", "--measures", "P_hs", "--out", str(out)]
+    assert main(argv) == EXIT_INPUT
+    assert "parameter w must lie in [0, 1], got 1.5" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_measure_registry_names_cover_figures():

@@ -38,6 +38,15 @@ def test_werner_rejects_out_of_range():
         werner_like(0.5, -0.1)
 
 
+def test_probability_parameters_must_be_real_and_keep_their_bits():
+    assert werner_like(complex(0.63, 0), 0.3).matrix.tobytes() == werner_like(0.63, 0.3).matrix.tobytes()
+    assert w_state(complex(0.4, 0)).amplitudes.tobytes() == w_state(0.4).amplitudes.tobytes()
+    for factory, args in ((werner_like, (complex(0.5, 0.1), 0.3)), (bipartite_x, (0.5j,)),
+                          (qutrit_jb, (complex(0.5, -1e-300),)), (w_state, (complex(0.4, 0.2),))):
+        with pytest.raises(ValidationError, match="must be real"):
+            factory(*args)
+
+
 def test_w_state_limit_p_one():
     psi = w_state(1.0)
     expected = np.zeros(8)
