@@ -4,9 +4,11 @@ Three subcommands: ``check`` evaluates one complementarity balance and
 exits 0 when the residual is below tolerance, ``sweep`` tabulates measures
 over a parameter grid to CSV, and ``audit`` runs a balance over a
 Haar-random ensemble.  Exit codes: 0 pass, 1 residual over tolerance,
-2 input error (including NaN or infinite state data or factory parameters,
-a factory flag that is not 're' or 're:im', a w, x or p that is not real
-or not in [0, 1], a factory flag the chosen factory does not take, any
+2 input error (including a malformed flag value such as ``--points abc``
+and an unknown flag, both reported as ``error: ...`` without the usage
+text, NaN or infinite state data or factory parameters, a factory flag
+that is not 're' or 're:im', a w, x or p that is not real or not in
+[0, 1], a factory flag the chosen factory does not take, any
 factory flag given with ``--file``, a swept parameter also given as a
 fixed flag, a state-file entry that is not a JSON number (booleans and
 numeric strings are refused) or is too large for a float, a non-finite
@@ -455,8 +457,15 @@ def _add_factory_flags(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(f"--{name}", help=f"'re' or 're:im' ({takers})")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ValidationError (exit 2 from ``main``) where argparse would print usage and exit; subparsers inherit it."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ccrkit",
         description="Complementarity measures and complete complementarity relations.",
     )
@@ -504,8 +513,8 @@ _PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
     try:
+        args = _PARSER.parse_args(argv)
         return args.func(args)
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -37,7 +37,7 @@ __all__ = [
 # Numeric windows and the capacity limit, read only inside this module.
 NORM_ATOL = 1e-12  # validation window for normalization / trace / Hermiticity
 PSD_FLOOR = -1e-10  # smallest eigenvalue allowed before a matrix is rejected
-EIG_CLAMP = 1e-10  # eigenvalues in [-EIG_CLAMP, 0] are snapped to 0
+EIG_CLAMP = 1e-10  # hermitian_spectrum snaps eigenvalues in [-EIG_CLAMP, 0] to 0
 JACOBI_OFFDIAG = 1e-13  # off-diagonal Frobenius norm at which hermitian_spectrum stops
 JACOBI_MAX_SWEEPS = 100  # sweep budget before hermitian_spectrum gives up
 PURITY_ATOL = 1e-10  # |Tr rho^2 - 1| window for purity preconditions
@@ -240,7 +240,7 @@ def _block_view(rho: DensityOperator, left: Sequence[int], right: Sequence[int])
 def _entropy(p: np.ndarray) -> float:
     """-sum p ln p over the positive entries of p (natural log)."""
     p = p[p > 0.0]
-    return float(-np.sum(p * np.log(p)))
+    return float(-(p * np.log(p)).sum())
 
 
 def partial_trace(rho: PureState | DensityOperator, keep: Iterable[int]) -> DensityOperator:
@@ -275,7 +275,8 @@ def partial_trace(rho: PureState | DensityOperator, keep: Iterable[int]) -> Dens
     kept_dims = tuple(dims[m] for m in keep_list)
     k = math.prod(kept_dims)
     if isinstance(rho, PureState):
-        m = np.moveaxis(rho.amplitudes.reshape(dims), keep_list, range(len(keep_list))).reshape(k, -1)
+        rest = [ax for ax in range(n) if ax not in keep_list]
+        m = rho.amplitudes.reshape(dims).transpose(keep_list + rest).reshape(k, -1)
         reduced = m @ m.conj().T
     elif len(keep_list) == n:
         return rho
@@ -378,8 +379,9 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
     """-sum lambda ln lambda over the spectrum (natural log, 0 ln 0 = 0).
 
     The eigenvalues come from one LAPACK ``eigvalsh`` call and are summed in
-    descending order, as ``hermitian_spectrum`` returns them; values in
-    ``[-EIG_CLAMP, 0)`` are snapped to 0 as there.
+    descending order, as ``hermitian_spectrum`` returns them.  They need no
+    ``EIG_CLAMP`` snap: ``_entropy`` drops every entry that is not positive,
+    so a roundoff value just below 0 adds nothing either way.
 
     Raises
     ------
@@ -387,11 +389,10 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
         If LAPACK reports that the eigenvalue solve failed.
     """
     try:
-        w = np.linalg.eigvalsh(rho.matrix)[::-1].copy()
+        w = np.linalg.eigvalsh(rho.matrix)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigenvalue solve failed: {exc}") from exc
-    w[(w < 0.0) & (w >= -EIG_CLAMP)] = 0.0
-    return _entropy(w)
+    return _entropy(w[::-1])
 
 
 def dephased(rho: DensityOperator) -> DensityOperator:

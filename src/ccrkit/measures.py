@@ -100,20 +100,22 @@ class MeasureValue:
 
 
 def _diag_probs(rho: DensityOperator) -> np.ndarray:
-    """Diagonal of rho as a clipped real probability vector."""
-    return np.clip(np.diag(rho.matrix).real, 0.0, None)
+    """Diagonal of rho as a clipped real probability vector (a fresh array)."""
+    return np.maximum(rho.matrix.diagonal().real, 0.0)
 
 
 def _offdiag(rho: DensityOperator) -> np.ndarray:
-    m = rho.matrix
-    return m - np.diag(np.diag(m))
+    """A copy of rho with its diagonal entries set to 0."""
+    off = rho.matrix.copy()
+    off.flat[:: off.shape[0] + 1] = 0.0
+    return off
 
 
 def predictability_hs(rho: DensityOperator) -> MeasureValue:
     """sum_i rho_ii^2 - 1/d, bounded by (d - 1)/d."""
     d = rho.signature.total
     p = _diag_probs(rho)
-    return MeasureValue(float(np.sum(p * p)) - 1.0 / d, (d - 1) / d, MeasureKind.P_HS)
+    return MeasureValue(float((p * p).sum()) - 1.0 / d, (d - 1) / d, MeasureKind.P_HS)
 
 
 def predictability_vn(rho: DensityOperator) -> MeasureValue:
@@ -134,14 +136,13 @@ def predictability_l1(rho: DensityOperator) -> MeasureValue:
 def coherence_hs(rho: DensityOperator) -> MeasureValue:
     """sum_{i != k} |rho_ik|^2, the Hilbert-Schmidt coherence; bound (d - 1)/d."""
     d = rho.signature.total
-    off = _offdiag(rho)
-    return MeasureValue(float(np.sum(np.abs(off) ** 2)), (d - 1) / d, MeasureKind.C_HS)
+    return MeasureValue(float((np.abs(_offdiag(rho)) ** 2).sum()), (d - 1) / d, MeasureKind.C_HS)
 
 
 def coherence_l1(rho: DensityOperator) -> MeasureValue:
     """sum_{i != k} |rho_ik|, the l1-norm coherence; bound d - 1."""
     d = rho.signature.total
-    return MeasureValue(float(np.sum(np.abs(_offdiag(rho)))), d - 1, MeasureKind.C_L1)
+    return MeasureValue(float(np.abs(_offdiag(rho)).sum()), d - 1, MeasureKind.C_L1)
 
 
 def coherence_re(rho: DensityOperator) -> MeasureValue:
@@ -153,7 +154,9 @@ def _coherence_re(rho: DensityOperator, s_vn: float) -> MeasureValue:
     """coherence_re given s_vn = S_vn(rho), for callers that already hold it."""
     # Descending, the order von_neumann_entropy sums its eigenvalues in, so this
     # matches S_vn(dephased(rho)) bit for bit.
-    dephased_entropy = _entropy(np.sort(_diag_probs(rho))[::-1])
+    p = _diag_probs(rho)
+    p.sort()
+    dephased_entropy = _entropy(p[::-1])
     return MeasureValue(dephased_entropy - s_vn, math.log(rho.signature.total), MeasureKind.C_RE)
 
 
@@ -174,15 +177,15 @@ def _nonlocal_hs_sum(state: PureState | DensityOperator, target: int, reduced: D
     p = diag(rho_t); a DensityOperator sums |rho|^2 over the rest axes.
     """
     if isinstance(state, PureState):
-        p = np.diag(reduced.matrix).real
-        blocks = np.outer(p, p)
+        p = reduced.matrix.diagonal().real
+        blocks = p[:, None] * p
     else:
         dims = state.signature.dims
         n = len(dims)
         rest_axes = tuple(m for m in range(2 * n) if m not in (target, n + target))
         blocks = np.sum(np.abs(state.matrix.reshape(dims + dims)) ** 2, axis=rest_axes)
     off = ~np.eye(blocks.shape[0], dtype=bool)
-    return float(np.sum((blocks - np.abs(reduced.matrix) ** 2)[off]))
+    return float((blocks - np.abs(reduced.matrix) ** 2)[off].sum())
 
 
 def nonlocal_coherence_hs_direct(rho_full: PureState | DensityOperator, target: int) -> MeasureValue:

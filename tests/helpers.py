@@ -1,6 +1,7 @@
 """Shared test utilities: independent oracles and random-state generators."""
 
 import itertools
+import math
 
 import numpy as np
 
@@ -113,3 +114,60 @@ def random_pure_vector(d, rng):
 def xlogx(p):
     """p ln p with the 0 ln 0 = 0 convention, for closed-form expectations."""
     return 0.0 if p <= 0.0 else p * np.log(p)
+
+
+# numpy convenience-wrapper forms of the per-check kernels.  The library runs
+# the same arithmetic in the same order through ndarray methods and bare
+# ufuncs; these oracles pin that every bit of its results stays the same.
+
+
+def wrapper_pure_reduction(amplitudes, dims, keep):
+    """Pure-state partial trace through np.moveaxis, Hermitian-symmetrised."""
+    keep = sorted(keep)
+    k = math.prod(dims[m] for m in keep)
+    m = np.moveaxis(np.asarray(amplitudes).reshape(dims), keep, range(len(keep))).reshape(k, -1)
+    reduced = m @ m.conj().T
+    return 0.5 * (reduced + reduced.conj().T)
+
+
+def wrapper_diag_probs(matrix):
+    return np.clip(np.diag(matrix).real, 0.0, None)
+
+
+def wrapper_offdiag(matrix):
+    return matrix - np.diag(np.diag(matrix))
+
+
+def wrapper_entropy(p):
+    p = p[p > 0.0]
+    return float(-np.sum(p * np.log(p)))
+
+
+def wrapper_vn_entropy(matrix, clamp):
+    """S_vn with eigenvalues in [-clamp, 0) snapped to 0 before the sum."""
+    w = np.linalg.eigvalsh(matrix)[::-1].copy()
+    w[(w < 0.0) & (w >= -clamp)] = 0.0
+    return wrapper_entropy(w)
+
+
+def wrapper_measure_values(matrix):
+    """Unsnapped P_hs, P_vn, P_l1, C_hs, C_l1 and S_vn(diag rho) of one reduced matrix."""
+    d = matrix.shape[0]
+    p = wrapper_diag_probs(matrix)
+    off = wrapper_offdiag(matrix)
+    return {
+        "P_hs": float(np.sum(p * p)) - 1.0 / d,
+        "P_vn": math.log(d) - wrapper_entropy(p),
+        "P_l1": d - 1 - float(np.sqrt(p).sum() ** 2 - p.sum()),
+        "C_hs": float(np.sum(np.abs(off) ** 2)),
+        "C_l1": float(np.sum(np.abs(off))),
+        "S_dephased": wrapper_entropy(np.sort(p)[::-1]),
+    }
+
+
+def wrapper_nonlocal_hs_sum(reduced, blocks=None):
+    """Block-form index-partition sum; ``blocks`` defaults to the pure form outer(p, p)."""
+    if blocks is None:
+        p = np.diag(reduced).real
+        blocks = np.outer(p, p)
+    return float(np.sum((blocks - np.abs(reduced) ** 2)[~np.eye(reduced.shape[0], dtype=bool)]))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import inspect
 import json
 import math
 import tracemalloc
@@ -793,3 +794,57 @@ def test_audit_invalid_env_tolerance(monkeypatch, raw, via):
     else:
         argv.append(f"--tolerance={raw}")
     assert main(argv) == EXIT_INPUT
+
+
+@pytest.mark.parametrize("flavor", sorted(ccrkit.cli._FLAVOR_FUNCS))
+def test_audit_calls_its_balance_once_per_state_and_target(flavor, monkeypatch):
+    # The traced benchmark run checks these counts against its audit inputs; it
+    # counts states through haar_random_pure, which must stay a generator function.
+    assert inspect.isgeneratorfunction(haar_random_pure)
+    balance = ccrkit.cli._FLAVOR_FUNCS[flavor]
+    targets, drawn = [], []
+
+    def counted_balance(state, target):
+        targets.append(target)
+        return balance(state, target)
+
+    def counted_states(*args):
+        for psi in haar_random_pure(*args):
+            drawn.append(psi)
+            yield psi
+
+    monkeypatch.setitem(ccrkit.cli._FLAVOR_FUNCS, flavor, counted_balance)
+    monkeypatch.setattr(ccrkit.cli, "haar_random_pure", counted_states)
+    assert main(f"audit --dims 2,3,2 --count 7 --seed 5 --flavor {flavor}".split()) == EXIT_OK
+    assert targets == [0, 1, 2] * 7
+    assert len(drawn) == 7
+
+
+# ---------------------------------------------------------------------------
+# flag errors
+
+
+_GHZ_CHECK = "check --factory ghz --a000 1 --a111 1 --flavor hs"
+_WERNER_SWEEP = "sweep --factory werner --w 1 --param x --stop 1 --measures P_hs --out {out}"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (f"{_GHZ_CHECK} --tolerance abc", "argument --tolerance: invalid float value: 'abc'"),
+        (f"{_GHZ_CHECK} --target x", "argument --target: invalid int value: 'x'"),
+        (f"{_WERNER_SWEEP} --start 0 --points abc", "argument --points: invalid int value: 'abc'"),
+        (f"{_WERNER_SWEEP} --start abc --points 3", "argument --start: invalid float value: 'abc'"),
+        ("audit --dims 2,2 --count x --flavor hs", "argument --count: invalid int value: 'x'"),
+        ("audit --dims 2,2 --count 2 --seed x --flavor hs", "argument --seed: invalid int value: 'x'"),
+        ("audit --dims 2,2 --count 2 --flavor hs --bogus", "unrecognized arguments: --bogus"),
+    ],
+    ids=["tolerance", "target", "points", "start", "count", "seed", "unknown-flag"],
+)
+def test_flag_errors_return_exit_2_with_one_error_line(argv, message, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert main(argv.format(out=out).split()) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()
