@@ -16,8 +16,8 @@ from ccrkit import (
     ccr_inequality_gap,
     ccr_vn,
     density_from_pure,
+    linear_entropy,
     nonlocal_coherence_hs_direct,
-    nonlocal_coherence_hs_via_entropy,
     partial_trace,
     purify,
 )
@@ -32,7 +32,7 @@ for dims in SIGNATURES:
         rho = density_from_pure(psi)
         for target in range(len(dims)):
             direct = nonlocal_coherence_hs_direct(rho, target).value
-            entropy = nonlocal_coherence_hs_via_entropy(rho, target).value
+            entropy = linear_entropy(partial_trace(rho, [target]))  # C_nl = S_l on pure states
             worst = max(worst, abs(direct - entropy))
     print(f"  {dims}: max |direct - entropy| = {worst:.2e}")
 

@@ -13,7 +13,6 @@ from .core import (
     DimensionSignature,
     PureState,
     Spectrum,
-    dephased,
     density_from_pure,
     hermitian_spectrum,
     linear_entropy,
@@ -40,7 +39,6 @@ from .measures import (
     concurrence_generalized,
     correlated_coherence,
     nonlocal_coherence_hs_direct,
-    nonlocal_coherence_hs_via_entropy,
     predictability_hs,
     predictability_l1,
     predictability_vn,
@@ -81,7 +79,6 @@ __all__ = [
     "linear_entropy",
     "hermitian_spectrum",
     "von_neumann_entropy",
-    "dephased",
     "purify",
     # measures
     "MeasureKind",
@@ -94,7 +91,6 @@ __all__ = [
     "coherence_l1",
     "coherence_re",
     "nonlocal_coherence_hs_direct",
-    "nonlocal_coherence_hs_via_entropy",
     "correlated_coherence",
     "concurrence_generalized",
     "satisfies_offdiag_conditions",

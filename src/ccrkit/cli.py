@@ -70,7 +70,6 @@ from .states import FACTORY_PARAMS, build, haar_random_pure
 __all__ = [
     "TOLERANCE_ENV",
     "parse_state_file",
-    "serialize_state",
     "SweepConfig",
     "render_sweep_csv",
     "main",
@@ -191,18 +190,6 @@ def _first_bad_entry(entries, shape: tuple[int, ...]) -> ValidationError:
             except OverflowError:
                 return ValidationError(f"{label}[{i}] has an integer too large for a float")
     return ValidationError(f"data must hold {' x '.join(map(str, shape))} [re, im] pairs of JSON numbers")
-
-
-def serialize_state(state: PureState | DensityOperator) -> bytes:
-    """Inverse of parse_state_file; floats round-trip exactly."""
-    if isinstance(state, PureState):
-        kind = "pure"
-        data = [[z.real, z.imag] for z in state.amplitudes]
-    else:
-        kind = "density"
-        data = [[[z.real, z.imag] for z in row] for row in state.matrix]
-    doc = {"dims": list(state.signature.dims), "kind": kind, "data": data}
-    return json.dumps(doc).encode("utf-8")
 
 
 # ---------------------------------------------------------------------------

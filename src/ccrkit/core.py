@@ -29,7 +29,6 @@ __all__ = [
     "linear_entropy",
     "hermitian_spectrum",
     "von_neumann_entropy",
-    "dephased",
     "purify",
 ]
 
@@ -393,11 +392,6 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigenvalue solve failed: {exc}") from exc
     return _entropy(w[::-1])
-
-
-def dephased(rho: DensityOperator) -> DensityOperator:
-    """Diagonal part of rho in the computational basis; the nearest incoherent state."""
-    return _density_unchecked(rho.signature, np.diag(np.diag(rho.matrix).real.astype(np.complex128)))
 
 
 def purify(rho: DensityOperator) -> PureState:

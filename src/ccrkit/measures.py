@@ -41,7 +41,6 @@ __all__ = [
     "coherence_l1",
     "coherence_re",
     "nonlocal_coherence_hs_direct",
-    "nonlocal_coherence_hs_via_entropy",
     "correlated_coherence",
     "concurrence_generalized",
     "satisfies_offdiag_conditions",
@@ -153,7 +152,7 @@ def coherence_re(rho: DensityOperator) -> MeasureValue:
 def _coherence_re(rho: DensityOperator, s_vn: float) -> MeasureValue:
     """coherence_re given s_vn = S_vn(rho), for callers that already hold it."""
     # Descending, the order von_neumann_entropy sums its eigenvalues in, so this
-    # matches S_vn(dephased(rho)) bit for bit.
+    # matches S_vn of the diagonal part of rho bit for bit.
     p = _diag_probs(rho)
     p.sort()
     dephased_entropy = _entropy(p[::-1])
@@ -209,19 +208,6 @@ def _nonlocal_coherence_hs(
         reduced = partial_trace(rho_full, [target])
     d_t = rho_full.signature.dims[target]
     return MeasureValue(_nonlocal_hs_sum(rho_full, target, reduced), (d_t - 1) / d_t, MeasureKind.C_NL_HS)
-
-
-def nonlocal_coherence_hs_via_entropy(rho_full: PureState | DensityOperator, target: int) -> MeasureValue:
-    """Non-local coherence of ``target`` as the linear entropy of its reduced state.
-
-    For globally pure states this equals the explicit index-partition sum,
-    which makes the two routes independent cross-checks of each other.
-    """
-    target = _check_target(rho_full, target, need_partner=True)
-    _require_pure(rho_full, _PURE_ONLY)
-    d_t = rho_full.signature.dims[target]
-    value = linear_entropy(partial_trace(rho_full, [target]))
-    return MeasureValue(value, (d_t - 1) / d_t, MeasureKind.C_NL_HS)
 
 
 def _split_bipartition(rho: DensityOperator, bipartition) -> tuple[list[int], list[int]]:

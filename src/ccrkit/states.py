@@ -12,7 +12,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import DensityOperator, DimensionSignature, PureState, _require_capacity
+from .core import DensityOperator, DimensionSignature, PureState, _as_signature, _require_capacity
 from .errors import ValidationError
 
 __all__ = [
@@ -175,8 +175,7 @@ def haar_random_pure(signature, count: int, seed: int) -> Iterator[PureState]:
     CapacityError, and a negative ``seed`` raises ValidationError, before
     anything is drawn.
     """
-    if not isinstance(signature, DimensionSignature):
-        signature = DimensionSignature(tuple(signature))
+    signature = _as_signature(signature)
     _require_capacity(signature.total)
     count = int(count)
     if count < 1:

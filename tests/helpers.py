@@ -1,9 +1,21 @@
 """Shared test utilities: independent oracles and random-state generators."""
 
 import itertools
+import json
 import math
 
 import numpy as np
+
+from ccrkit.core import (
+    DensityOperator,
+    PureState,
+    _check_target,
+    _density_unchecked,
+    _require_pure,
+    linear_entropy,
+    partial_trace,
+)
+from ccrkit.measures import _PURE_ONLY, MeasureKind, MeasureValue
 
 
 def flatten_index(multi, dims):
@@ -171,3 +183,37 @@ def wrapper_nonlocal_hs_sum(reduced, blocks=None):
         p = np.diag(reduced).real
         blocks = np.outer(p, p)
     return float(np.sum((blocks - np.abs(reduced) ** 2)[~np.eye(reduced.shape[0], dtype=bool)]))
+
+
+# Routes that only the tests need: the entropy form of C_nl (an oracle for the
+# index-partition sum), the dephasing map, and the state-file writer.
+
+
+def nonlocal_coherence_hs_via_entropy(rho_full: PureState | DensityOperator, target: int) -> MeasureValue:
+    """Non-local coherence of ``target`` as the linear entropy of its reduced state.
+
+    For globally pure states this equals the index-partition sum of
+    ``nonlocal_coherence_hs_direct``, so the two routes cross-check each other.
+    """
+    target = _check_target(rho_full, target, need_partner=True)
+    _require_pure(rho_full, _PURE_ONLY)
+    d_t = rho_full.signature.dims[target]
+    value = linear_entropy(partial_trace(rho_full, [target]))
+    return MeasureValue(value, (d_t - 1) / d_t, MeasureKind.C_NL_HS)
+
+
+def dephased(rho: DensityOperator) -> DensityOperator:
+    """Diagonal part of rho in the computational basis; the nearest incoherent state."""
+    return _density_unchecked(rho.signature, np.diag(np.diag(rho.matrix).real.astype(np.complex128)))
+
+
+def serialize_state(state: PureState | DensityOperator) -> bytes:
+    """Inverse of ``ccrkit.cli.parse_state_file``; floats round-trip exactly."""
+    if isinstance(state, PureState):
+        kind = "pure"
+        data = [[z.real, z.imag] for z in state.amplitudes]
+    else:
+        kind = "density"
+        data = [[[z.real, z.imag] for z in row] for row in state.matrix]
+    doc = {"dims": list(state.signature.dims), "kind": kind, "data": data}
+    return json.dumps(doc).encode("utf-8")

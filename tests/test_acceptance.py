@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 import pytest
-from helpers import random_density_matrix, xlogx
+from helpers import nonlocal_coherence_hs_via_entropy, random_density_matrix, xlogx
 
 from ccrkit import (
     CoherenceKind,
@@ -23,7 +23,6 @@ from ccrkit import (
     correlated_coherence,
     density_from_pure,
     nonlocal_coherence_hs_direct,
-    nonlocal_coherence_hs_via_entropy,
     partial_trace,
     predictability_hs,
     predictability_l1,

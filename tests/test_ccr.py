@@ -4,7 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from helpers import brute_nonlocal_sum, brute_partial_trace, random_density_matrix, random_pure_vector
+from helpers import (
+    brute_nonlocal_sum,
+    brute_partial_trace,
+    nonlocal_coherence_hs_via_entropy,
+    random_density_matrix,
+    random_pure_vector,
+)
 
 import ccrkit.core
 from ccrkit import (
@@ -23,7 +29,6 @@ from ccrkit import (
     correlated_coherence,
     density_from_pure,
     nonlocal_coherence_hs_direct,
-    nonlocal_coherence_hs_via_entropy,
     partial_trace,
     predictability_hs,
     predictability_l1,

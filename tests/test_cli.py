@@ -39,10 +39,9 @@ from ccrkit.cli import (
     main,
     parse_state_file,
     render_sweep_csv,
-    serialize_state,
 )
 from ccrkit.states import FACTORY_PARAMS, acin, haar_random_pure, w_state
-from helpers import complex_from_pairs, random_pure_vector
+from helpers import complex_from_pairs, random_pure_vector, serialize_state
 
 
 BELL_DOC = {

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import brute_partial_trace, random_density_matrix, random_pure_vector
+from helpers import brute_partial_trace, dephased, random_density_matrix, random_pure_vector
 
 import ccrkit.core
 from ccrkit import (
@@ -15,7 +15,6 @@ from ccrkit import (
     NumericError,
     PureState,
     ValidationError,
-    dephased,
     density_from_pure,
     hermitian_spectrum,
     linear_entropy,

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import brute_offdiag_defect, random_density_matrix, xlogx
+from helpers import brute_offdiag_defect, dephased, nonlocal_coherence_hs_via_entropy, random_density_matrix, xlogx
 
 from ccrkit import (
     CoherenceKind,
@@ -20,10 +20,8 @@ from ccrkit import (
     coherence_re,
     concurrence_generalized,
     correlated_coherence,
-    dephased,
     density_from_pure,
     nonlocal_coherence_hs_direct,
-    nonlocal_coherence_hs_via_entropy,
     partial_trace,
     predictability_hs,
     predictability_l1,
