@@ -7,8 +7,10 @@ local mixedness, and for a mixed global state the pure-state form leaves a
 non-negative information gap.
 
 The three balances and the inequality gap take a PureState or a
-DensityOperator.  A PureState is worked on from its amplitudes and never
-expanded to |psi><psi|.
+DensityOperator.  Each reduces its input once, with one body for both
+kinds, to the plain ndarray rho_t of ``core._reduced_matrix`` (a PureState
+from its amplitudes, never expanded to |psi><psi|), and reads every term
+from the kernels of ``ccrkit.measures`` on that matrix.
 """
 
 from __future__ import annotations
@@ -17,23 +19,26 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import (
     DensityOperator,
     PureState,
     _check_target,
+    _purity,
+    _reduced_matrix,
     _require_pure,
-    linear_entropy,
-    partial_trace,
-    von_neumann_entropy,
+    _vn_entropy,
 )
 from .measures import (
     MeasureKind,
     MeasureValue,
+    _coherence_hs,
     _coherence_re,
+    _diag_probs,
     _nonlocal_hs_sum,
-    coherence_hs,
-    predictability_hs,
-    predictability_vn,
+    _predictability_hs,
+    _predictability_vn,
 )
 
 __all__ = ["CCRFlavor", "CCRReport", "ccr_hs", "ccr_vn", "ccr_mixedness", "ccr_inequality_gap"]
@@ -45,7 +50,7 @@ class CCRFlavor(enum.Enum):
     HS_MIXEDNESS = "hs_mixedness"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CCRReport:
     """One complementarity balance for a target subsystem.
 
@@ -83,39 +88,43 @@ def _assemble(
     )
 
 
+def _hs_local_terms(m: np.ndarray, bound: float) -> tuple[MeasureValue, MeasureValue]:
+    """P_hs and C_hs of the reduced matrix m."""
+    return (
+        MeasureValue(_predictability_hs(_diag_probs(m)), bound, MeasureKind.P_HS),
+        MeasureValue(_coherence_hs(m), bound, MeasureKind.C_HS),
+    )
+
+
 def ccr_hs(rho_full: PureState | DensityOperator, target: int) -> CCRReport:
     """Hilbert-Schmidt balance P_hs + C_hs + C_nl_hs = (d - 1)/d for pure global states."""
     target = _check_target(rho_full, target, need_partner=True)
     _require_pure(rho_full, "use ccr_mixedness for the mixed-state form")
-    reduced = partial_trace(rho_full, [target])
-    d_t = rho_full.signature.dims[target]
+    m = _reduced_matrix(rho_full, [target])
+    d_t = m.shape[0]
     bound = (d_t - 1) / d_t
-    return _assemble(
-        target,
-        predictability_hs(reduced),
-        coherence_hs(reduced),
-        MeasureValue(_nonlocal_hs_sum(rho_full, target, reduced), bound, MeasureKind.C_NL_HS),
-        bound,
-        CCRFlavor.HS_PURE,
-    )
+    predictability, coherence = _hs_local_terms(m, bound)
+    correlation = MeasureValue(_nonlocal_hs_sum(rho_full, target, m), bound, MeasureKind.C_NL_HS)
+    return _assemble(target, predictability, coherence, correlation, bound, CCRFlavor.HS_PURE)
 
 
 def ccr_vn(rho_full: PureState | DensityOperator, target: int) -> CCRReport:
     """Entropic balance C_re + P_vn + S_vn = ln d on the target-vs-rest split.
 
     Reading S_vn of the reduced state as entanglement requires the global
-    state to be pure, so mixed inputs are rejected.
+    state to be pure, so mixed inputs are rejected.  The spectrum is solved
+    once, and S_vn and C_re both read it.
     """
     target = _check_target(rho_full, target, need_partner=True)
     _require_pure(rho_full, "the entropic CCR requires a pure global state")
-    reduced = partial_trace(rho_full, [target])
-    d_t = rho_full.signature.dims[target]
-    bound = math.log(d_t)
-    s_vn = von_neumann_entropy(reduced)
+    m = _reduced_matrix(rho_full, [target])
+    bound = math.log(m.shape[0])
+    p = _diag_probs(m)
+    s_vn = _vn_entropy(m)
     return _assemble(
         target,
-        predictability_vn(reduced),
-        _coherence_re(reduced, s_vn),
+        MeasureValue(_predictability_vn(p), bound, MeasureKind.P_VN),
+        MeasureValue(_coherence_re(p, s_vn), bound, MeasureKind.C_RE),
         MeasureValue(s_vn, bound, MeasureKind.S_VN),
         bound,
         CCRFlavor.VN_PURE_BIPARTITE,
@@ -131,18 +140,11 @@ def ccr_mixedness(rho_any: PureState | DensityOperator, target: int) -> CCRRepor
     origin (correlations or environment noise).
     """
     target = _check_target(rho_any, target, need_partner=False)
-    reduced = partial_trace(rho_any, [target])
-    d_t = rho_any.signature.dims[target]
+    m = _reduced_matrix(rho_any, [target])
+    d_t = m.shape[0]
     bound = (d_t - 1) / d_t
-    mixedness = MeasureValue(linear_entropy(reduced), bound, MeasureKind.S_L)
-    return _assemble(
-        target,
-        predictability_hs(reduced),
-        coherence_hs(reduced),
-        mixedness,
-        bound,
-        CCRFlavor.HS_MIXEDNESS,
-    )
+    mixedness = MeasureValue(1.0 - _purity(m), bound, MeasureKind.S_L)
+    return _assemble(target, *_hs_local_terms(m, bound), mixedness, bound, CCRFlavor.HS_MIXEDNESS)
 
 
 def ccr_inequality_gap(rho_any: PureState | DensityOperator, target: int) -> float:
@@ -153,11 +155,8 @@ def ccr_inequality_gap(rho_any: PureState | DensityOperator, target: int) -> flo
     accounts for all the missing subsystem information.
     """
     target = _check_target(rho_any, target, need_partner=True)
-    reduced = partial_trace(rho_any, [target])
-    d_t = rho_any.signature.dims[target]
-    total = (
-        predictability_hs(reduced).value
-        + coherence_hs(reduced).value
-        + _nonlocal_hs_sum(rho_any, target, reduced)
-    )
-    return (d_t - 1) / d_t - total
+    m = _reduced_matrix(rho_any, [target])
+    d_t = m.shape[0]
+    bound = (d_t - 1) / d_t
+    predictability, coherence = _hs_local_terms(m, bound)
+    return bound - (predictability.value + coherence.value + _nonlocal_hs_sum(rho_any, target, m))

@@ -12,7 +12,8 @@ that is not 're' or 're:im', a w, x or p that is not real or not in
 factory flag given with ``--file``, a swept parameter also given as a
 fixed flag, a state-file entry that is not a JSON number (booleans and
 numeric strings are refused) or is too large for a float, a non-finite
-sweep edge, a negative audit seed, a tolerance that is not a finite
+sweep edge, a negative audit seed, a sweep ``--points`` or audit
+``--count`` above ``MAX_COUNT``, a tolerance that is not a finite
 number >= 0, and a state file or audit signature whose total dimension
 exceeds ``core.MAX_TOTAL_DIM``), 3 precondition error (for example a mixed
 state fed to a pure-only flavor), 4 numeric failure (an eigenvalue solve
@@ -77,6 +78,8 @@ __all__ = [
 
 TOLERANCE_ENV = "CCRKIT_TOLERANCE"
 DEFAULT_CHECK_TOLERANCE = 1e-10
+# Largest sweep --points and audit --count, refused before any grid or state is made.
+MAX_COUNT = 1_000_000
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -235,7 +238,7 @@ MEASURES = {
     "S_vn": lambda rho, r, t: von_neumann_entropy(r),
     "S_l": lambda rho, r, t: linear_entropy(r),
     "purity": lambda rho, r, t: purity(r),
-    "C_nl_hs": lambda rho, r, t: _nonlocal_coherence_hs(rho, t, r).value,
+    "C_nl_hs": lambda rho, r, t: _nonlocal_coherence_hs(rho, t, r.matrix).value,
     "C_corr_hs": _corr_rest(CoherenceKind.HILBERT_SCHMIDT),
     "C_corr_l1": _corr_rest(CoherenceKind.L1_NORM),
     "C_corr_re": _corr_rest(CoherenceKind.RELATIVE_ENTROPY),
@@ -277,8 +280,8 @@ def _validate_sweep(config: SweepConfig) -> None:
         )
     if config.param in config.fixed:
         raise ValidationError(f"parameter {config.param!r} is swept, so it cannot also be fixed")
-    if config.points < 2:
-        raise ValidationError(f"sweep needs at least 2 grid points, got {config.points}")
+    if not 2 <= config.points <= MAX_COUNT:
+        raise ValidationError(f"sweep needs 2 to {MAX_COUNT} grid points, got {config.points}")
     if not config.measures:
         raise ValidationError("sweep needs at least one measure column")
     unknown = [m for m in config.measures if m != "sum" and m not in MEASURES]
@@ -415,8 +418,8 @@ def cmd_audit(args) -> int:
     if len(dims) < 2:
         raise ValidationError(f"CCR auditing needs at least 2 subsystems, got dims {dims}")
     signature = DimensionSignature(dims)
-    if args.count < 1:
-        raise ValidationError(f"--count must be positive, got {args.count}")
+    if not 1 <= args.count <= MAX_COUNT:
+        raise ValidationError(f"--count must be between 1 and {MAX_COUNT}, got {args.count}")
     flavor = _FLAVOR_FUNCS[args.flavor]
     residuals = []
     for psi in haar_random_pure(signature, args.count, args.seed):

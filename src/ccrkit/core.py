@@ -242,6 +242,24 @@ def _entropy(p: np.ndarray) -> float:
     return float(-(p * np.log(p)).sum())
 
 
+def _reduced_matrix(state: PureState | DensityOperator, keep: list[int]) -> np.ndarray:
+    """partial_trace's Hermitian matrix for sorted, in-range ``keep``; a whole DensityOperator gives its own."""
+    dims = state.signature.dims
+    n = len(dims)
+    k = math.prod([dims[m] for m in keep])
+    if isinstance(state, PureState):
+        rest = [m for m in range(n) if m not in keep]
+        amps = state.amplitudes.reshape(dims).transpose(keep + rest).reshape(k, -1)
+        reduced = amps @ amps.conj().T
+    elif len(keep) == n:
+        return state.matrix
+    else:
+        bra_ket = list(range(n)) + [n + m if m in keep else m for m in range(n)]
+        out_axes = keep + [n + m for m in keep]
+        reduced = np.einsum(state.matrix.reshape(dims + dims), bra_ket, out_axes).reshape(k, k)
+    return 0.5 * (reduced + reduced.conj().T)
+
+
 def partial_trace(rho: PureState | DensityOperator, keep: Iterable[int]) -> DensityOperator:
     """Trace out every subsystem not listed in ``keep``.
 
@@ -260,7 +278,8 @@ def partial_trace(rho: PureState | DensityOperator, keep: Iterable[int]) -> Dens
     -------
     DensityOperator
         Reduced state with the restricted signature; trace and Hermiticity
-        are preserved.
+        are preserved.  The balances of ``ccrkit.ccr`` read the same matrix
+        from ``_reduced_matrix`` without this wrapper.
     """
     dims = rho.signature.dims
     n = len(dims)
@@ -271,27 +290,19 @@ def partial_trace(rho: PureState | DensityOperator, keep: Iterable[int]) -> Dens
         raise ValidationError(
             f"subsystem index out of range for {n} subsystems: {keep_list}"
         )
-    kept_dims = tuple(dims[m] for m in keep_list)
-    k = math.prod(kept_dims)
-    if isinstance(rho, PureState):
-        rest = [ax for ax in range(n) if ax not in keep_list]
-        m = rho.amplitudes.reshape(dims).transpose(keep_list + rest).reshape(k, -1)
-        reduced = m @ m.conj().T
-    elif len(keep_list) == n:
+    if isinstance(rho, DensityOperator) and len(keep_list) == n:
         return rho
-    else:
-        keep_set = set(keep_list)
-        tensor = rho.matrix.reshape(dims + dims)
-        bra_ket = list(range(n)) + [n + m if m in keep_set else m for m in range(n)]
-        out_axes = keep_list + [n + m for m in keep_list]
-        reduced = np.einsum(tensor, bra_ket, out_axes).reshape(k, k)
-    reduced = 0.5 * (reduced + reduced.conj().T)
-    return _density_unchecked(DimensionSignature(kept_dims), reduced)
+    kept_dims = tuple(dims[m] for m in keep_list)
+    return _density_unchecked(DimensionSignature(kept_dims), _reduced_matrix(rho, keep_list))
 
 
 def purity(rho: DensityOperator) -> float:
     """Tr rho^2, computed as the squared Frobenius norm of the Hermitian matrix."""
-    return float(np.vdot(rho.matrix, rho.matrix).real)
+    return _purity(rho.matrix)
+
+
+def _purity(matrix: np.ndarray) -> float:
+    return float(np.vdot(matrix, matrix).real)
 
 
 def linear_entropy(rho: DensityOperator) -> float:
@@ -387,8 +398,12 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
     NumericError
         If LAPACK reports that the eigenvalue solve failed.
     """
+    return _vn_entropy(rho.matrix)
+
+
+def _vn_entropy(matrix: np.ndarray) -> float:
     try:
-        w = np.linalg.eigvalsh(rho.matrix)
+        w = np.linalg.eigvalsh(matrix)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigenvalue solve failed: {exc}") from exc
     return _entropy(w[::-1])

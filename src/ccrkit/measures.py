@@ -4,7 +4,9 @@ Predictabilities read the diagonal of a state in the computational basis,
 coherences read the off-diagonal part, and the non-local coherence is the
 correlation term that completes the balance for a subsystem of a globally
 pure state.  Every quantifier is returned together with its theoretical
-maximum for the dimension at hand.
+maximum for the dimension at hand.  Each formula that the balances of
+``ccrkit.ccr`` read is a private kernel on the reduced matrix m or on
+p = _diag_probs(m), with d = len(p), and the public quantifier wraps it.
 """
 
 from __future__ import annotations
@@ -22,10 +24,11 @@ from .core import (
     _block_view,
     _check_target,
     _entropy,
+    _reduced_matrix,
     _require_pure,
+    _vn_entropy,
     linear_entropy,
     partial_trace,
-    von_neumann_entropy,
 )
 from .errors import NumericError, ValidationError
 
@@ -70,7 +73,7 @@ class CoherenceKind(enum.Enum):
     L1_NORM = "l1_norm"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class MeasureValue:
     """A non-negative quantifier together with its theoretical maximum.
 
@@ -83,100 +86,106 @@ class MeasureValue:
     bound: float
     kind: MeasureKind
 
-    def __post_init__(self) -> None:
-        value = float(self.value)
-        bound = float(self.bound)
+    def __init__(self, value: float, bound: float, kind: MeasureKind) -> None:
+        value = float(value)
+        bound = float(bound)
         if not math.isfinite(value):
-            raise NumericError(f"{self.kind.value} is not a finite number: {value!r}")
+            raise NumericError(f"{kind.value} is not a finite number: {value!r}")
         if -MEASURE_ATOL <= value < 0.0:
             value = 0.0
         if value < 0.0:
-            raise ValidationError(f"{self.kind.value} is negative beyond roundoff: {value!r}")
+            raise ValidationError(f"{kind.value} is negative beyond roundoff: {value!r}")
         if value > bound + MEASURE_ATOL:
-            raise ValidationError(f"{self.kind.value} = {value!r} exceeds its bound {bound!r}")
+            raise ValidationError(f"{kind.value} = {value!r} exceeds its bound {bound!r}")
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "kind", kind)
 
 
-def _diag_probs(rho: DensityOperator) -> np.ndarray:
-    """Diagonal of rho as a clipped real probability vector (a fresh array)."""
-    return np.maximum(rho.matrix.diagonal().real, 0.0)
+def _diag_probs(m: np.ndarray) -> np.ndarray:
+    """Diagonal of m as a clipped real probability vector (a fresh array)."""
+    return np.maximum(m.diagonal().real, 0.0)
 
 
-def _offdiag(rho: DensityOperator) -> np.ndarray:
-    """A copy of rho with its diagonal entries set to 0."""
-    off = rho.matrix.copy()
+def _offdiag(m: np.ndarray) -> np.ndarray:
+    """A copy of m with its diagonal entries set to 0."""
+    off = m.copy()
     off.flat[:: off.shape[0] + 1] = 0.0
     return off
+
+
+def _predictability_hs(p: np.ndarray) -> float:
+    return float((p * p).sum()) - 1.0 / len(p)
+
+
+def _predictability_vn(p: np.ndarray) -> float:
+    return math.log(len(p)) - _entropy(p)
+
+
+def _coherence_hs(m: np.ndarray) -> float:
+    return float((np.abs(_offdiag(m)) ** 2).sum())
+
+
+def _coherence_re(p: np.ndarray, s_vn: float) -> float:
+    # p sorted descending, the order _vn_entropy sums its eigenvalues in, so the
+    # first term matches S_vn of the diagonal part of m bit for bit.
+    return _entropy(np.sort(p)[::-1]) - s_vn
 
 
 def predictability_hs(rho: DensityOperator) -> MeasureValue:
     """sum_i rho_ii^2 - 1/d, bounded by (d - 1)/d."""
     d = rho.signature.total
-    p = _diag_probs(rho)
-    return MeasureValue(float((p * p).sum()) - 1.0 / d, (d - 1) / d, MeasureKind.P_HS)
+    return MeasureValue(_predictability_hs(_diag_probs(rho.matrix)), (d - 1) / d, MeasureKind.P_HS)
 
 
 def predictability_vn(rho: DensityOperator) -> MeasureValue:
     """ln d + sum_i rho_ii ln rho_ii (0 ln 0 = 0), bounded by ln d."""
-    d = rho.signature.total
-    return MeasureValue(math.log(d) - _entropy(_diag_probs(rho)), math.log(d), MeasureKind.P_VN)
+    return MeasureValue(_predictability_vn(_diag_probs(rho.matrix)), math.log(rho.signature.total), MeasureKind.P_VN)
 
 
 def predictability_l1(rho: DensityOperator) -> MeasureValue:
     """d - 1 - sum_{j != k} sqrt(rho_jj rho_kk), bounded by d - 1."""
     d = rho.signature.total
-    p = _diag_probs(rho)
-    roots = np.sqrt(p)
-    pair_sum = float(roots.sum() ** 2 - p.sum())
-    return MeasureValue(d - 1 - pair_sum, d - 1, MeasureKind.P_L1)
+    p = _diag_probs(rho.matrix)
+    return MeasureValue(d - 1 - float(np.sqrt(p).sum() ** 2 - p.sum()), d - 1, MeasureKind.P_L1)
 
 
 def coherence_hs(rho: DensityOperator) -> MeasureValue:
     """sum_{i != k} |rho_ik|^2, the Hilbert-Schmidt coherence; bound (d - 1)/d."""
     d = rho.signature.total
-    return MeasureValue(float((np.abs(_offdiag(rho)) ** 2).sum()), (d - 1) / d, MeasureKind.C_HS)
+    return MeasureValue(_coherence_hs(rho.matrix), (d - 1) / d, MeasureKind.C_HS)
 
 
 def coherence_l1(rho: DensityOperator) -> MeasureValue:
     """sum_{i != k} |rho_ik|, the l1-norm coherence; bound d - 1."""
-    d = rho.signature.total
-    return MeasureValue(float(np.abs(_offdiag(rho)).sum()), d - 1, MeasureKind.C_L1)
+    return MeasureValue(float(np.abs(_offdiag(rho.matrix)).sum()), rho.signature.total - 1, MeasureKind.C_L1)
 
 
 def coherence_re(rho: DensityOperator) -> MeasureValue:
     """S_vn(diag(rho)) - S_vn(rho), the relative entropy of coherence; bound ln d."""
-    return _coherence_re(rho, von_neumann_entropy(rho))
-
-
-def _coherence_re(rho: DensityOperator, s_vn: float) -> MeasureValue:
-    """coherence_re given s_vn = S_vn(rho), for callers that already hold it."""
-    # Descending, the order von_neumann_entropy sums its eigenvalues in, so this
-    # matches S_vn of the diagonal part of rho bit for bit.
-    p = _diag_probs(rho)
-    p.sort()
-    dephased_entropy = _entropy(p[::-1])
-    return MeasureValue(dephased_entropy - s_vn, math.log(rho.signature.total), MeasureKind.C_RE)
+    m = rho.matrix
+    return MeasureValue(_coherence_re(_diag_probs(m), _vn_entropy(m)), math.log(rho.signature.total), MeasureKind.C_RE)
 
 
 _PURE_ONLY = "this form is only meaningful under global purity"
 
 
-def _nonlocal_hs_sum(state: PureState | DensityOperator, target: int, reduced: DensityOperator) -> float:
+def _nonlocal_hs_sum(state: PureState | DensityOperator, target: int, reduced: np.ndarray) -> float:
     """Index-partition sum over (target pair !=, rest pair !=) terms, in block form.
 
     Each term is |rho_{iI,jJ}|^2 - rho_{iI,jI} rho*_{iJ,jJ}, with i, j
     running over the target subsystem and I, J over the joint index of all
     remaining subsystems.  The I = J terms are |rho_{iI,jI}|^2 minus the
     same number, so they cancel and the rest sum may run over every (I, J).
-    That gives sum_{i != j} (F_ij - |(rho_t)_ij|^2), where ``reduced`` is
-    rho_t = partial_trace(state, [target]) and F_ij = ||rho^(ij)||_F^2 is
-    the squared Frobenius norm of the rest x rest block rho^(ij).  For a
-    PureState, rho_{iI,jJ} = M_iI M*_jJ, so F = outer(p, p) with
-    p = diag(rho_t); a DensityOperator sums |rho|^2 over the rest axes.
+    That gives sum_{i != j} (F_ij - |(rho_t)_ij|^2), with ``reduced`` the
+    ndarray rho_t = _reduced_matrix(state, [target]) and F_ij the squared
+    Frobenius norm of the rest x rest block rho^(ij).  For a PureState,
+    rho_{iI,jJ} = M_iI M*_jJ, so F = outer(p, p) with p = diag(rho_t); a
+    DensityOperator sums |rho|^2 over the rest axes.  The sum keeps this
+    form and is not replaced by 1 - Tr rho_t^2, its value on pure input.
     """
     if isinstance(state, PureState):
-        p = reduced.matrix.diagonal().real
+        p = reduced.diagonal().real
         blocks = p[:, None] * p
     else:
         dims = state.signature.dims
@@ -184,7 +193,7 @@ def _nonlocal_hs_sum(state: PureState | DensityOperator, target: int, reduced: D
         rest_axes = tuple(m for m in range(2 * n) if m not in (target, n + target))
         blocks = np.sum(np.abs(state.matrix.reshape(dims + dims)) ** 2, axis=rest_axes)
     off = ~np.eye(blocks.shape[0], dtype=bool)
-    return float((blocks - np.abs(reduced.matrix) ** 2)[off].sum())
+    return float((blocks - np.abs(reduced) ** 2)[off].sum())
 
 
 def nonlocal_coherence_hs_direct(rho_full: PureState | DensityOperator, target: int) -> MeasureValue:
@@ -199,13 +208,13 @@ def nonlocal_coherence_hs_direct(rho_full: PureState | DensityOperator, target: 
 
 
 def _nonlocal_coherence_hs(
-    rho_full: PureState | DensityOperator, target: int, reduced: DensityOperator | None
+    rho_full: PureState | DensityOperator, target: int, reduced: np.ndarray | None
 ) -> MeasureValue:
-    """nonlocal_coherence_hs_direct, reusing ``reduced`` = partial_trace(rho_full, [target]) when given."""
+    """nonlocal_coherence_hs_direct, reusing ``reduced`` = _reduced_matrix(rho_full, [target]) when given."""
     target = _check_target(rho_full, target, need_partner=True)
     _require_pure(rho_full, _PURE_ONLY)
     if reduced is None:
-        reduced = partial_trace(rho_full, [target])
+        reduced = _reduced_matrix(rho_full, [target])
     d_t = rho_full.signature.dims[target]
     return MeasureValue(_nonlocal_hs_sum(rho_full, target, reduced), (d_t - 1) / d_t, MeasureKind.C_NL_HS)
 
@@ -266,16 +275,13 @@ def concurrence_generalized(rho_reduced: DensityOperator) -> MeasureValue:
 
 
 def satisfies_offdiag_conditions(
-    rho_full: DensityOperator,
-    bipartition: tuple[Iterable[int], Iterable[int]],
-    *,
-    atol: float = MEASURE_ATOL,
+    rho_full: DensityOperator, bipartition: tuple[Iterable[int], Iterable[int]]
 ) -> bool:
     """Whether each reduced off-diagonal modulus matches its term-wise sum.
 
     Checks |sum_j rho_{ij,kj}|^2 == sum_j |rho_{ij,kj}|^2 for all i != k on
     the left part, and the mirrored condition on the right part, each within
-    ``atol``.  When both hold, the Hilbert-Schmidt correlated coherence
+    ``MEASURE_ATOL``.  When both hold, the Hilbert-Schmidt correlated coherence
     across the bipartition is non-negative.
     """
     left, right = _split_bipartition(rho_full, bipartition)
@@ -285,10 +291,10 @@ def satisfies_offdiag_conditions(
     terms_left = np.einsum("ijkj->ikj", block)
     lhs = np.abs(terms_left.sum(axis=-1)) ** 2
     rhs = (np.abs(terms_left) ** 2).sum(axis=-1)
-    if np.any(np.abs(lhs - rhs)[~np.eye(dim_left, dtype=bool)] > atol):
+    if np.any(np.abs(lhs - rhs)[~np.eye(dim_left, dtype=bool)] > MEASURE_ATOL):
         return False
 
     terms_right = np.einsum("ijil->jli", block)
     lhs = np.abs(terms_right.sum(axis=-1)) ** 2
     rhs = (np.abs(terms_right) ** 2).sum(axis=-1)
-    return not np.any(np.abs(lhs - rhs)[~np.eye(dim_right, dtype=bool)] > atol)
+    return not np.any(np.abs(lhs - rhs)[~np.eye(dim_right, dtype=bool)] > MEASURE_ATOL)

@@ -17,6 +17,8 @@ from ccrkit import (
     CCRFlavor,
     CoherenceKind,
     DensityOperator,
+    MeasureKind,
+    MeasureValue,
     PreconditionError,
     PureState,
     ValidationError,
@@ -24,15 +26,19 @@ from ccrkit import (
     ccr_inequality_gap,
     ccr_mixedness,
     ccr_vn,
+    coherence_hs,
     coherence_re,
     concurrence_generalized,
     correlated_coherence,
     density_from_pure,
+    linear_entropy,
     nonlocal_coherence_hs_direct,
     partial_trace,
     predictability_hs,
     predictability_l1,
+    predictability_vn,
     tensor_product,
+    von_neumann_entropy,
 )
 from ccrkit.states import bipartite_x, ghz, haar_random_pure, qutrit_jb, w_state, werner_like
 
@@ -313,6 +319,27 @@ def test_amplitude_route_matches_density_route(dims):
         literal = brute_nonlocal_sum(rho.matrix, dims, target)
         assert nonlocal_coherence_hs_direct(psi, target).value == pytest.approx(literal, abs=1e-12)
         assert ccr_hs(psi, target).correlation_term.value == pytest.approx(literal, abs=1e-12)
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (3, 2, 4), (2,) * 5])
+def test_balance_terms_are_the_public_quantifiers_of_the_reduction(dims):
+    # One formula per quantity: every term equals its public quantifier on partial_trace(state, [t]).
+    psi = next(haar_random_pure(dims, 1, seed=len(dims)))
+    mixed = DensityOperator(dims, random_density_matrix(math.prod(dims), np.random.default_rng(1)))
+    for state in (psi, density_from_pure(psi), mixed):
+        for target in range(len(dims)):
+            reduced = partial_trace(state, [target])
+            d_t = dims[target]
+            want = {ccr_mixedness: (predictability_hs(reduced), coherence_hs(reduced),
+                                    MeasureValue(linear_entropy(reduced), (d_t - 1) / d_t, MeasureKind.S_L))}
+            if state is not mixed:
+                want[ccr_hs] = (predictability_hs(reduced), coherence_hs(reduced),
+                                nonlocal_coherence_hs_direct(state, target))
+                want[ccr_vn] = (predictability_vn(reduced), coherence_re(reduced),
+                                MeasureValue(von_neumann_entropy(reduced), math.log(d_t), MeasureKind.S_VN))
+            for balance, terms in want.items():
+                report = balance(state, target)
+                assert (report.predictability, report.local_coherence, report.correlation_term) == terms
 
 
 # ---------------------------------------------------------------------------

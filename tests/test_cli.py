@@ -819,6 +819,48 @@ def test_audit_calls_its_balance_once_per_state_and_target(flavor, monkeypatch):
     assert len(drawn) == 7
 
 
+@pytest.mark.parametrize("flavor", ["hs", "vn", "mixedness"])
+def test_audit_wraps_no_reduced_state_per_check(flavor, monkeypatch):
+    # The balances read the reduced matrix as a plain ndarray: the one signature
+    # an audit builds is the one it parses from --dims.
+    calls = {"density": 0, "signature": 0}
+    density_unchecked = ccrkit.core._density_unchecked
+    post_init = ccrkit.core.DimensionSignature.__post_init__
+
+    def counted_density(*args):
+        calls["density"] += 1
+        return density_unchecked(*args)
+
+    def counted_signature(self):
+        calls["signature"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(ccrkit.core, "_density_unchecked", counted_density)
+    monkeypatch.setattr(ccrkit.core.DimensionSignature, "__post_init__", counted_signature)
+    assert main(f"audit --dims 2,2,2 --count 5 --seed 3 --flavor {flavor}".split()) == EXIT_OK
+    assert calls == {"density": 0, "signature": 1}
+
+
+@pytest.mark.parametrize("argv", [
+    "sweep --factory werner --w 1.0 --param x --start 0 --stop 1 --points {n} --measures P_hs --out big.csv",
+    "audit --dims 2,2 --count {n} --flavor hs",
+])
+def test_over_cap_points_and_count_exit_2_before_allocating(argv, monkeypatch, capsys, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated")
+
+    monkeypatch.setattr(ccrkit.cli.np, "linspace", refuse)
+    monkeypatch.setattr(ccrkit.cli, "haar_random_pure", refuse)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv.format(n=ccrkit.cli.MAX_COUNT + 1).split()) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "1000000" in err
+    assert not (tmp_path / "big.csv").exists()
+    # At the cap itself the command gets past its checks to the first allocation.
+    with pytest.raises(AssertionError, match="allocated"):
+        main(argv.format(n=ccrkit.cli.MAX_COUNT).split())
+
+
 # ---------------------------------------------------------------------------
 # flag errors
 

@@ -1,11 +1,13 @@
 """Complementarity quantifiers: worked values, identities, and bounds."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from helpers import brute_offdiag_defect, dephased, nonlocal_coherence_hs_via_entropy, random_density_matrix, xlogx
 
+import ccrkit.measures
 from ccrkit import (
     CoherenceKind,
     DensityOperator,
@@ -15,6 +17,7 @@ from ccrkit import (
     PreconditionError,
     PureState,
     ValidationError,
+    ccr_hs,
     coherence_hs,
     coherence_l1,
     coherence_re,
@@ -68,6 +71,22 @@ def test_measure_value_rejects_bound_violation():
 def test_measure_value_rejects_non_finite(bad):
     with pytest.raises(NumericError, match="not a finite number"):
         MeasureValue(bad, 0.5, MeasureKind.C_HS)
+
+
+def test_measure_value_and_report_are_slotted_frozen_records():
+    mv = MeasureValue(0.25, 0.5, MeasureKind.C_HS)
+    report = ccr_hs(ghz(0.6, 0.8), 0)
+    for record in (mv, report):
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.bound = 1.0
+    assert mv == MeasureValue(0.25, 0.5, MeasureKind.C_HS) != MeasureValue(0.25, 0.75, MeasureKind.C_HS)
+    assert repr(mv) == "MeasureValue(value=0.25, bound=0.5, kind=<MeasureKind.C_HS: 'C_hs'>)"
+    assert repr(report).startswith("CCRReport(target=0, predictability=MeasureValue(")
+    assert dataclasses.replace(mv, value=-1e-12) == MeasureValue(0.0, 0.5, MeasureKind.C_HS)
+    with pytest.raises(ValidationError, match="bound"):
+        dataclasses.replace(mv, bound=0.1)
+    assert dataclasses.replace(report, target=1) == dataclasses.replace(report, target=1)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +408,7 @@ def test_conditions_hold_for_diagonal_products():
     assert satisfies_offdiag_conditions(joint, ([0], [1]))
 
 
-def test_conditions_on_uneven_bipartition_match_literal_oracle():
+def test_conditions_on_uneven_bipartition_match_literal_oracle(monkeypatch):
     # Qutrit in the middle against the two outer qubits: a split the block view must permute.
     dims, left, right = (2, 3, 2), [1], [0, 2]
     rng = np.random.default_rng(16)
@@ -397,8 +416,10 @@ def test_conditions_on_uneven_bipartition_match_literal_oracle():
         rho = DensityOperator(dims, random_density_matrix(12, rng))
         defect = brute_offdiag_defect(rho.matrix, dims, left)
         # The verdict flips exactly at the literal defect, so it pins the computed one.
-        assert satisfies_offdiag_conditions(rho, (left, right), atol=defect * (1 + 1e-9))
-        assert not satisfies_offdiag_conditions(rho, (left, right), atol=defect * (1 - 1e-9))
+        monkeypatch.setattr(ccrkit.measures, "MEASURE_ATOL", defect * (1 + 1e-9))
+        assert satisfies_offdiag_conditions(rho, (left, right))
+        monkeypatch.setattr(ccrkit.measures, "MEASURE_ATOL", defect * (1 - 1e-9))
+        assert not satisfies_offdiag_conditions(rho, (left, right))
 
 
 # ---------------------------------------------------------------------------
