@@ -32,7 +32,6 @@ import gc
 import itertools
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -69,14 +68,12 @@ from .measures import (
 from .states import FACTORY_PARAMS, build, haar_random_pure
 
 __all__ = [
-    "TOLERANCE_ENV",
     "parse_state_file",
     "SweepConfig",
     "render_sweep_csv",
     "main",
 ]
 
-TOLERANCE_ENV = "CCRKIT_TOLERANCE"
 DEFAULT_CHECK_TOLERANCE = 1e-10
 # Largest sweep --points and audit --count, refused before any grid or state is made.
 MAX_COUNT = 1_000_000
@@ -304,7 +301,12 @@ def render_sweep_csv(config: SweepConfig) -> str:
             for name in config.measures
             if name != "sum"
         }
-        row_total = sum(measured.values())
+        # Added left to right, as sum() did before Python 3.12 compensated it, so
+        # that the CSV bytes do not depend on the Python version.  The int start
+        # is sum()'s: a row of only "sum" prints 0.
+        row_total = 0
+        for v in measured.values():
+            row_total += v
         cells = [float(value)] + [
             row_total if name == "sum" else measured[name] for name in config.measures
         ]
@@ -342,16 +344,9 @@ def _load_state(args) -> PureState | DensityOperator:
     return parse_state_file(Path(args.file).read_bytes())
 
 
-def _resolve_tolerance(args) -> float:
-    raw = os.environ.get(TOLERANCE_ENV) if args.tolerance is None else args.tolerance
-    if raw is None:
-        return DEFAULT_CHECK_TOLERANCE
-    try:
-        tolerance = float(raw)
-    except ValueError as exc:
-        raise ValidationError(f"{TOLERANCE_ENV} must be a float, got {raw!r}") from exc
+def _check_tolerance(tolerance: float) -> float:
     if not (math.isfinite(tolerance) and tolerance >= 0.0):
-        raise ValidationError(f"tolerance must be a finite number >= 0, got {raw!r}")
+        raise ValidationError(f"tolerance must be a finite number >= 0, got {tolerance!r}")
     return tolerance
 
 
@@ -385,7 +380,7 @@ def _print_report(report: CCRReport, as_json: bool) -> None:
 
 
 def cmd_check(args) -> int:
-    tolerance = _resolve_tolerance(args)
+    tolerance = _check_tolerance(args.tolerance)
     state = _load_state(args)
     report = _FLAVOR_FUNCS[args.flavor](state, args.target)
     _print_report(report, args.json)
@@ -410,7 +405,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    tolerance = _resolve_tolerance(args)
+    tolerance = _check_tolerance(args.tolerance)
     try:
         dims = tuple(int(part) for part in args.dims.split(","))
     except ValueError as exc:
@@ -421,16 +416,19 @@ def cmd_audit(args) -> int:
     if not 1 <= args.count <= MAX_COUNT:
         raise ValidationError(f"--count must be between 1 and {MAX_COUNT}, got {args.count}")
     flavor = _FLAVOR_FUNCS[args.flavor]
-    residuals = []
+    # A running max and a left-to-right total, which sum() no longer is from Python 3.12 on.
+    worst = total = 0.0
     for psi in haar_random_pure(signature, args.count, args.seed):
         for target in range(len(dims)):
-            residuals.append(abs(flavor(psi, target).residual))
-    worst = max(residuals)
-    mean = sum(residuals) / len(residuals)
+            residual = abs(flavor(psi, target).residual)
+            worst = max(worst, residual)
+            total += residual
+    checks = args.count * len(dims)
+    mean = total / checks
     passed = worst < tolerance
     print(
         f"audit dims={args.dims} flavor={args.flavor} states={args.count} seed={args.seed} "
-        f"checks={len(residuals)}"
+        f"checks={checks}"
     )
     print(f"max|residual|={worst:.3e} mean|residual|={mean:.3e} tolerance={tolerance:.3e}")
     print("PASS" if passed else "FAIL")
@@ -468,8 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_factory_flags(check)
     check.add_argument("--target", type=int, default=0, help="subsystem index (default 0)")
     check.add_argument("--flavor", choices=sorted(_FLAVOR_FUNCS), required=True)
-    check.add_argument("--tolerance", type=float, default=None,
-                       help=f"residual tolerance (default {DEFAULT_CHECK_TOLERANCE}, or ${TOLERANCE_ENV})")
+    check.add_argument("--tolerance", type=float, default=DEFAULT_CHECK_TOLERANCE,
+                       help=f"residual tolerance (default {DEFAULT_CHECK_TOLERANCE})")
     check.add_argument("--json", action="store_true", help="emit the report as JSON")
     check.set_defaults(func=cmd_check)
 
@@ -491,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--count", type=int, required=True)
     audit.add_argument("--seed", type=int, default=0)
     audit.add_argument("--flavor", choices=sorted(_FLAVOR_FUNCS), required=True)
-    audit.add_argument("--tolerance", type=float, default=None)
+    audit.add_argument("--tolerance", type=float, default=DEFAULT_CHECK_TOLERANCE)
     audit.set_defaults(func=cmd_audit)
 
     return parser
@@ -515,7 +513,3 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

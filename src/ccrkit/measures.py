@@ -114,6 +114,12 @@ def _offdiag(m: np.ndarray) -> np.ndarray:
     return off
 
 
+def _offdiag_entries(x: np.ndarray) -> np.ndarray:
+    """The off-diagonal entries of the square array x, flat and in row-major order, as x[~eye] gives them."""
+    d = x.shape[0]
+    return x.reshape(-1)[1:].reshape(d - 1, d + 1)[:, :d].ravel()
+
+
 def _predictability_hs(p: np.ndarray) -> float:
     return float((p * p).sum()) - 1.0 / len(p)
 
@@ -192,8 +198,7 @@ def _nonlocal_hs_sum(state: PureState | DensityOperator, target: int, reduced: n
         n = len(dims)
         rest_axes = tuple(m for m in range(2 * n) if m not in (target, n + target))
         blocks = np.sum(np.abs(state.matrix.reshape(dims + dims)) ** 2, axis=rest_axes)
-    off = ~np.eye(blocks.shape[0], dtype=bool)
-    return float((blocks - np.abs(reduced) ** 2)[off].sum())
+    return float(_offdiag_entries(blocks - np.abs(reduced) ** 2).sum())
 
 
 def nonlocal_coherence_hs_direct(rho_full: PureState | DensityOperator, target: int) -> MeasureValue:
@@ -286,15 +291,14 @@ def satisfies_offdiag_conditions(
     """
     left, right = _split_bipartition(rho_full, bipartition)
     block = _block_view(rho_full, left, right)
-    dim_left, dim_right = block.shape[:2]
 
     terms_left = np.einsum("ijkj->ikj", block)
     lhs = np.abs(terms_left.sum(axis=-1)) ** 2
     rhs = (np.abs(terms_left) ** 2).sum(axis=-1)
-    if np.any(np.abs(lhs - rhs)[~np.eye(dim_left, dtype=bool)] > MEASURE_ATOL):
+    if np.any(_offdiag_entries(np.abs(lhs - rhs)) > MEASURE_ATOL):
         return False
 
     terms_right = np.einsum("ijil->jli", block)
     lhs = np.abs(terms_right.sum(axis=-1)) ** 2
     rhs = (np.abs(terms_right) ** 2).sum(axis=-1)
-    return not np.any(np.abs(lhs - rhs)[~np.eye(dim_right, dtype=bool)] > MEASURE_ATOL)
+    return not np.any(_offdiag_entries(np.abs(lhs - rhs)) > MEASURE_ATOL)

@@ -100,6 +100,19 @@ def test_parse_rejects_non_json():
         parse_state_file(b"\xff\xfenot json")
 
 
+@pytest.mark.parametrize("doc, message", [
+    (b"[2, 2]", "state file must be a JSON object"),
+    (b'{"dims": [], "kind": "pure", "data": []}', "dims must be a nonempty array of integers"),
+    (b'{"dims": [2, "3"], "kind": "pure", "data": []}', "dims must be a nonempty array of integers"),
+    (b'{"dims": [2], "kind": "density", "data": [[[1, 0], [0, 0]]]}', "data must be an array of 2 rows for dims [2]"),
+], ids=["not-an-object", "empty-dims", "string-dim", "missing-row"])
+def test_check_malformed_state_document_exits_2(doc, message, tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_bytes(doc)
+    assert main(["check", "--file", str(path), "--flavor", "hs"]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_parse_rejects_bad_pair_entries():
     doc = {"dims": [2], "kind": "pure", "data": [[1, 0], "oops"]}
     with pytest.raises(ValidationError, match="pair"):
@@ -623,6 +636,15 @@ def test_sweep_validation_errors_exit_2(tmp_path):
     )
 
 
+def test_sweep_needs_a_column_and_a_known_variant(tmp_path, capsys):
+    argv = f"sweep --factory w --param p --start 0 --stop 1 --points 3 --measures , --out {tmp_path / 'x.csv'}"
+    assert main(argv.split()) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: sweep needs at least one measure column\n"
+    assert not (tmp_path / "x.csv").exists()
+    with pytest.raises(ValidationError, match=r"^unknown state variant 'nope'; expected one of \['acin', "):
+        render_sweep_csv(SweepConfig("nope", "x", 0.0, 1.0, 3, ("P_hs",)))
+
+
 def test_sweep_non_finite_grid_edges_exit_2(tmp_path, capsys):
     base = [
         "sweep", "--factory", "acin", "--param", "lambda1", "--points", "3",
@@ -634,6 +656,30 @@ def test_sweep_non_finite_grid_edges_exit_2(tmp_path, capsys):
         assert main(base + edges) == EXIT_INPUT
         assert "finite" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+
+
+def _neumaier_sum(values, start=0):
+    """sum() of floats as Python 3.12 and later compute it, with Neumaier's compensation."""
+    total, compensation = float(start), 0.0
+    for x in values:
+        t = total + x
+        compensation += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + compensation if compensation and math.isfinite(compensation) else total
+
+
+def test_sweep_and_audit_totals_do_not_depend_on_the_python_version(monkeypatch, capsys):
+    fixed = {"lambda2": 0.4, "lambda3": 0.5, "lambda4": 0.2, "lambda5": 0.6}
+    config = SweepConfig("five-term", "lambda1", -1.0, 1.0, 11, (*MEASURES, "sum"), fixed)
+    assert len(config.measures) == 19
+    audit = "audit --dims 3,2,4 --count 50 --seed 9 --flavor hs".split()
+    csv = render_sweep_csv(config)
+    assert main(audit) == EXIT_OK
+    printed = capsys.readouterr().out
+    monkeypatch.setattr(ccrkit.cli, "sum", _neumaier_sum, raising=False)
+    assert render_sweep_csv(config) == csv
+    assert main(audit) == EXIT_OK
+    assert capsys.readouterr().out == printed
 
 
 def test_sweep_reduces_once_per_row(tmp_path, monkeypatch):
@@ -772,27 +818,29 @@ def test_audit_bad_dims_string():
     assert main("audit --dims 2,banana --count 1 --seed 1 --flavor hs".split()) == EXIT_INPUT
 
 
-def test_audit_env_tolerance_default(monkeypatch):
-    monkeypatch.setenv("CCRKIT_TOLERANCE", "0")
-    assert main("audit --dims 2,2 --count 5 --seed 3 --flavor hs".split()) == EXIT_FAIL
-    # explicit flag overrides the environment default
+def test_audit_env_tolerance_default():
     assert (
         main("audit --dims 2,2 --count 5 --seed 3 --flavor hs --tolerance 1e-10".split())
         == EXIT_OK
     )
 
 
-@pytest.mark.parametrize(
-    "raw, via",
-    [("lots", "env")] + [(raw, via) for raw in ("nan", "inf", "-1") for via in ("env", "flag")],
-)
-def test_audit_invalid_env_tolerance(monkeypatch, raw, via):
-    argv = "audit --dims 2,2 --count 5 --seed 3 --flavor hs".split()
-    if via == "env":
-        monkeypatch.setenv("CCRKIT_TOLERANCE", raw)
-    else:
-        argv.append(f"--tolerance={raw}")
-    assert main(argv) == EXIT_INPUT
+@pytest.mark.parametrize("raw", ["nan", "inf", "-1"], ids=lambda raw: f"{raw}-flag")
+def test_audit_invalid_env_tolerance(raw):
+    assert main(f"audit --dims 2,2 --count 5 --seed 3 --flavor hs --tolerance={raw}".split()) == EXIT_INPUT
+
+
+@pytest.mark.parametrize("argv", [
+    "check --factory ghz --a000 0.7071 --a111 0.7071 --target 0 --flavor hs",
+    "audit --dims 2,2,2 --count 1000 --seed 42 --flavor hs",
+], ids=["check", "audit"])
+def test_tolerance_environment_variable_changes_nothing(argv, monkeypatch, capsys):
+    monkeypatch.delenv("CCRKIT_TOLERANCE", raising=False)
+    assert main(argv.split()) == EXIT_OK
+    plain = capsys.readouterr()
+    monkeypatch.setenv("CCRKIT_TOLERANCE", "0")
+    assert main(argv.split()) == EXIT_OK
+    assert capsys.readouterr() == plain
 
 
 @pytest.mark.parametrize("flavor", sorted(ccrkit.cli._FLAVOR_FUNCS))

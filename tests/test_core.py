@@ -71,6 +71,11 @@ def test_pure_state_rejects_shape_mismatch():
         PureState((2, 2), [1.0, 0.0])
 
 
+def test_density_rejects_shape_mismatch():
+    with pytest.raises(ValidationError, match=r"^matrix has shape \(2, 2\), expected \(4, 4\) for signature \(2, 2\)$"):
+        DensityOperator((2, 2), np.eye(2) / 2)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_pure_state_rejects_non_finite(bad):
     with pytest.raises(ValidationError, match="NaN or infinite"):

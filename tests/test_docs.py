@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from ccrkit.cli import TOLERANCE_ENV, main
+from ccrkit.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -42,7 +42,6 @@ def test_readme_cli_commands_exit_0(tmp_path, monkeypatch, capsys):
     (state_file,) = fenced_blocks("json")
     (tmp_path / "bell.json").write_text(state_file, encoding="utf-8")
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv(TOLERANCE_ENV, raising=False)
     commands = readme_cli_commands()
     assert {argv[0] for argv in commands} == {"check", "sweep", "audit"}
     for argv in commands:
