@@ -1,4 +1,4 @@
-"""Regenerate the golden CLI outputs that ``tests/test_golden.py`` compares against.
+"""Regenerate the golden outputs that ``tests/test_golden.py`` compares against.
 
 Run from the repository root:
 
@@ -10,8 +10,11 @@ into ``tests/golden/golden.json``, together with the numpy version that
 made them; a sweep also records the CSV text it wrote, or null when it
 wrote none.  Commands name their files by relative path, so they run in a
 directory that ``stage`` has filled with ``inputs/`` and the malformed
-state files of ``BAD_FILES``.  Regenerate only in a change whose
-CHANGES.md entry lists which outputs moved and why.
+state files of ``BAD_FILES``.  The ``library`` section holds what the CLI
+cannot print: for each state of ``library_states``, the ``repr`` of the
+inequality gap on every target and the amplitudes of its purification.
+Regenerate only in a change whose CHANGES.md entry lists which outputs
+moved and why.
 """
 
 import contextlib
@@ -26,8 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ccrkit import partial_trace
-from ccrkit.cli import MEASURES, _parse_param, main
+from ccrkit import ccr_inequality_gap, partial_trace, purify
+from ccrkit.cli import MEASURES, _parse_param, main, parse_state_file
 from ccrkit.states import FACTORY_PARAMS, build, haar_random_pure
 
 HERE = Path(__file__).resolve().parent
@@ -195,6 +198,31 @@ def _state_doc(dims, kind: str, data: np.ndarray) -> str:
     return json.dumps({"dims": list(dims), "kind": kind, "data": _pairs(data)}) + "\n"
 
 
+#: Haar states on ``dims + (ancilla,)``, drawn with ``seed``, whose reduction onto
+#: ``dims`` the library part pins beside the density file.
+ANCILLA_STATES = [((2, 2, 2), 2, 11), ((3, 2, 4), 3, 12)]
+
+
+def library_states():
+    """(name, mixed state) pairs: ``inputs/mixed_23.json``, then each ``ANCILLA_STATES`` reduction."""
+    yield "inputs/mixed_23.json", parse_state_file((INPUTS / "mixed_23.json").read_bytes())
+    for dims, ancilla, seed in ANCILLA_STATES:
+        (psi,) = haar_random_pure(dims + (ancilla,), 1, seed)
+        yield f"haar {dims}+{ancilla} seed {seed}", partial_trace(psi, range(len(dims)))
+
+
+def library() -> list[dict]:
+    """Per state: the gap's ``repr`` on every target and ``purify``'s amplitudes as [re, im] pairs."""
+    return [
+        {
+            "state": name,
+            "gaps": [repr(ccr_inequality_gap(rho, target)) for target in range(len(rho.dims))],
+            "purify": _pairs(purify(rho).amplitudes),
+        }
+        for name, rho in library_states()
+    ]
+
+
 def write_inputs() -> None:
     """The README's bell.json, a Haar (3, 2, 4) pure state and a mixed (2, 3) density."""
     INPUTS.mkdir(exist_ok=True)
@@ -217,9 +245,10 @@ def main_regen() -> None:
             commands = [run(argv) for argv in BATTERY]
         finally:
             os.chdir(cwd)
-    doc = {"numpy": np.__version__, "python": sys.version.split()[0], "commands": commands}
+    doc = {"numpy": np.__version__, "python": sys.version.split()[0], "commands": commands, "library": library()}
     GOLDEN.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {len(commands)} commands to {GOLDEN.relative_to(HERE.parents[1])}")
+    print(f"wrote {len(commands)} commands and {len(doc['library'])} library states to "
+          f"{GOLDEN.relative_to(HERE.parents[1])}")
 
 
 if __name__ == "__main__":

@@ -7,7 +7,8 @@ per factory parameter, and the commands ccrkit refuses) runs through
 the numpy version that made the golden file, exit code, stdout, stderr and
 the CSV a sweep wrote must match byte for byte.  Under another version,
 exit codes and the text of every line must still match exactly, and every
-number to 1e-12.
+number to 1e-12.  The library part (the inequality gap on every target and
+the ``purify`` amplitudes of three mixed states) follows the same rule.
 """
 
 import json
@@ -53,6 +54,19 @@ def test_battery_matches_golden(tmp_path, monkeypatch):
                 assert got[stream] == want[stream], (want["argv"], stream)
             else:
                 assert roundoff_mismatch(got[stream], want[stream]) is None, (want["argv"], stream, versions)
+
+
+def test_library_values_match_golden():
+    got, want = regen.library(), GOLDEN["library"]
+    assert [e["state"] for e in got] == [e["state"] for e in want]
+    if GOLDEN["numpy"] == np.__version__:
+        assert got == want
+        return
+    for g, w in zip(got, want):
+        for key in ("gaps", "purify"):
+            a, b = np.array(g[key], dtype=float), np.array(w[key], dtype=float)
+            assert a.shape == b.shape, (w["state"], key)
+            assert np.abs(a - b).max() <= ATOL, (w["state"], key, f"golden numpy {GOLDEN['numpy']}")
 
 
 def _value(argv, flag):
