@@ -10,7 +10,7 @@ The three balances and the inequality gap take a PureState or a
 DensityOperator.  Each reduces its input once, with one body for both
 kinds, to the plain ndarray rho_t of ``core._reduced_matrix`` (a PureState
 from its amplitudes, never expanded to |psi><psi|), and reads every term
-from the kernels of ``ccrkit.measures`` on that matrix.
+from the kernels of ``ccrkit.measures`` and ``core._partition_blocks``.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .core import (
     DensityOperator,
     PureState,
     _check_target,
+    _partition_blocks,
     _purity,
     _reduced_matrix,
     _require_pure,
@@ -37,6 +38,7 @@ from .measures import (
     _coherence_re,
     _diag_probs,
     _nonlocal_hs_sum,
+    _offdiag_entries,
     _predictability_hs,
     _predictability_vn,
 )
@@ -148,15 +150,12 @@ def ccr_mixedness(rho_any: PureState | DensityOperator, target: int) -> CCRRepor
 
 
 def ccr_inequality_gap(rho_any: PureState | DensityOperator, target: int) -> float:
-    """(d - 1)/d minus the pure-state balance evaluated on an arbitrary state.
+    """sum_{i != j} (p_i p_j - F_ij), p = diag(rho_t), F from ``core._partition_blocks``.
 
-    Zero (within roundoff) exactly when the global state is pure; positive
-    for mixed global states, where the explicit correlation sum no longer
-    accounts for all the missing subsystem information.
+    It equals (d - 1)/d - (P_hs + C_hs + C_nl_hs).  Each term is >= 0, as |rho_{iI,jJ}|^2 <= rho_{iI,iI} rho_{jJ,jJ}
+    for a PSD rho; a pure state has F = outer(p, p), so every term is 0, exactly so on a PureState.
     """
     target = _check_target(rho_any, target, need_partner=True)
     m = _reduced_matrix(rho_any, [target])
-    d_t = m.shape[0]
-    bound = (d_t - 1) / d_t
-    predictability, coherence = _hs_local_terms(m, bound)
-    return bound - (predictability.value + coherence.value + _nonlocal_hs_sum(rho_any, target, m))
+    p = m.diagonal().real
+    return float(_offdiag_entries(p[:, None] * p - _partition_blocks(rho_any, target, m)).sum())

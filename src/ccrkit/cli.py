@@ -15,9 +15,11 @@ numeric strings are refused) or is too large for a float, a non-finite
 sweep edge, a negative audit seed, a sweep ``--points`` or audit
 ``--count`` above ``MAX_COUNT``, a tolerance that is not a finite
 number >= 0, and a state file or audit signature whose total dimension
-exceeds ``core.MAX_TOTAL_DIM``), 3 precondition error (for example a mixed
-state fed to a pure-only flavor), 4 numeric failure (an eigenvalue solve
-that fails, or a measure that comes out NaN or infinite).
+exceeds ``core.MAX_TOTAL_DIM``, and ``hs`` or ``vn`` on a one-subsystem
+state, pure or mixed, since the partner check comes before the purity
+check), 3 precondition error (a mixed state of two or more subsystems fed
+to a pure-only flavor), 4 numeric failure (an eigenvalue solve that fails,
+or a measure that comes out NaN or infinite).
 
 ``check`` and ``audit`` hand pure states to the balances as amplitudes;
 neither builds the D x D density |psi><psi| for pure input.  ``sweep``

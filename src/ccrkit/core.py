@@ -141,7 +141,7 @@ class DensityOperator:
         if not abs(trace - 1.0) <= NORM_ATOL:
             raise ValidationError(f"matrix does not have unit trace: Tr rho = {trace!r}")
         # Halving before adding keeps the symmetrised copy finite.
-        smallest = float(np.linalg.eigvalsh(0.5 * mat + 0.5 * mat.conj().T).min())
+        smallest = float(_eigvalsh(0.5 * mat + 0.5 * mat.conj().T).min())
         if not smallest >= PSD_FLOOR:
             raise ValidationError(
                 f"matrix is not positive semidefinite: smallest eigenvalue = {smallest!r}"
@@ -234,6 +234,17 @@ def _block_view(rho: DensityOperator, left: Sequence[int], right: Sequence[int])
     shape = (math.prod(dims[m] for m in left), math.prod(dims[m] for m in right))
     perm = [*left, *right, *(n + m for m in left), *(n + m for m in right)]
     return rho.matrix.reshape(dims + dims).transpose(perm).reshape(shape + shape)
+
+
+def _partition_blocks(state: PureState | DensityOperator, target: int, reduced: np.ndarray) -> np.ndarray:
+    """F_ij = ||rho^(ij)||_F^2 per rest x rest block, i, j on ``target``; outer(p, p), p = diag(reduced), if pure."""
+    if isinstance(state, PureState):
+        p = reduced.diagonal().real
+        return p[:, None] * p
+    dims = state.signature.dims
+    n = len(dims)
+    rest_axes = tuple(m for m in range(2 * n) if m not in (target, n + target))
+    return np.sum(np.abs(state.matrix.reshape(dims + dims)) ** 2, axis=rest_axes)
 
 
 def _entropy(p: np.ndarray) -> float:
@@ -402,11 +413,15 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
 
 
 def _vn_entropy(matrix: np.ndarray) -> float:
+    return _entropy(_eigvalsh(matrix)[::-1])
+
+
+def _eigvalsh(matrix: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix; a failed LAPACK solve raises NumericError."""
     try:
-        w = np.linalg.eigvalsh(matrix)
+        return np.linalg.eigvalsh(matrix)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigenvalue solve failed: {exc}") from exc
-    return _entropy(w[::-1])
 
 
 def purify(rho: DensityOperator) -> PureState:

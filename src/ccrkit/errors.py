@@ -18,4 +18,5 @@ class PreconditionError(CcrkitError):
 
 
 class NumericError(CcrkitError):
-    """An iterative numeric routine failed to converge."""
+    """A numeric routine failed: an iterative solver did not converge, a LAPACK
+    solve failed, or a measure came out NaN or infinite."""

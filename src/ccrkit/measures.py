@@ -24,6 +24,7 @@ from .core import (
     _block_view,
     _check_target,
     _entropy,
+    _partition_blocks,
     _reduced_matrix,
     _require_pure,
     _vn_entropy,
@@ -179,26 +180,12 @@ _PURE_ONLY = "this form is only meaningful under global purity"
 def _nonlocal_hs_sum(state: PureState | DensityOperator, target: int, reduced: np.ndarray) -> float:
     """Index-partition sum over (target pair !=, rest pair !=) terms, in block form.
 
-    Each term is |rho_{iI,jJ}|^2 - rho_{iI,jI} rho*_{iJ,jJ}, with i, j
-    running over the target subsystem and I, J over the joint index of all
-    remaining subsystems.  The I = J terms are |rho_{iI,jI}|^2 minus the
-    same number, so they cancel and the rest sum may run over every (I, J).
-    That gives sum_{i != j} (F_ij - |(rho_t)_ij|^2), with ``reduced`` the
-    ndarray rho_t = _reduced_matrix(state, [target]) and F_ij the squared
-    Frobenius norm of the rest x rest block rho^(ij).  For a PureState,
-    rho_{iI,jJ} = M_iI M*_jJ, so F = outer(p, p) with p = diag(rho_t); a
-    DensityOperator sums |rho|^2 over the rest axes.  The sum keeps this
-    form and is not replaced by 1 - Tr rho_t^2, its value on pure input.
+    Each term is |rho_{iI,jJ}|^2 - rho_{iI,jI} rho*_{iJ,jJ}, i, j on the target and I, J
+    over the joint index of the rest.  The I = J terms cancel, so the sum is
+    sum_{i != j} (F_ij - |(rho_t)_ij|^2), F from ``core._partition_blocks`` and rho_t =
+    ``reduced``.  It is not replaced by 1 - Tr rho_t^2, its value on pure input.
     """
-    if isinstance(state, PureState):
-        p = reduced.diagonal().real
-        blocks = p[:, None] * p
-    else:
-        dims = state.signature.dims
-        n = len(dims)
-        rest_axes = tuple(m for m in range(2 * n) if m not in (target, n + target))
-        blocks = np.sum(np.abs(state.matrix.reshape(dims + dims)) ** 2, axis=rest_axes)
-    return float(_offdiag_entries(blocks - np.abs(reduced) ** 2).sum())
+    return float(_offdiag_entries(_partition_blocks(state, target, reduced) - np.abs(reduced) ** 2).sum())
 
 
 def nonlocal_coherence_hs_direct(rho_full: PureState | DensityOperator, target: int) -> MeasureValue:

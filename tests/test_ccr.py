@@ -263,6 +263,32 @@ def test_gap_and_entropy_route_take_pure_states(psi):
         assert via_entropy == pytest.approx(nonlocal_coherence_hs_via_entropy(rho, target).value, abs=1e-12)
 
 
+@pytest.mark.parametrize("dims", [(2, 2, 2), (3, 2, 4), (2,) * 5])
+def test_gap_is_exactly_zero_on_amplitudes(dims):
+    for psi in haar_random_pure(dims, 5, seed=19):
+        for target in range(len(dims)):
+            assert ccr_inequality_gap(psi, target) == 0.0
+
+
+@pytest.mark.parametrize("dims, ancilla", [((2, 2, 2), 2), ((3, 2, 4), 3), ((2, 3), 5)])
+def test_gap_terms_are_each_nonnegative(dims, ancilla):
+    keep = range(len(dims))
+    for psi in haar_random_pure(dims + (ancilla,), 5, seed=29):
+        rho = partial_trace(psi, keep)
+        for target in keep:
+            m = ccrkit.core._reduced_matrix(rho, [target])
+            p = m.diagonal().real
+            blocks = ccrkit.core._partition_blocks(rho, target, m)
+            terms = (np.outer(p, p) - blocks)[~np.eye(dims[target], dtype=bool)]
+            assert terms.min() > 1e-3
+            assert ccr_inequality_gap(rho, target) == pytest.approx(terms.sum(), abs=1e-15)
+            # Both kinds of input give the same blocks for a pure state.
+            pure_blocks = ccrkit.core._partition_blocks(psi, target, ccrkit.core._reduced_matrix(psi, [target]))
+            projector = density_from_pure(psi)
+            dense = ccrkit.core._partition_blocks(projector, target, ccrkit.core._reduced_matrix(projector, [target]))
+            np.testing.assert_allclose(pure_blocks, dense, rtol=0, atol=1e-15)
+
+
 def test_gap_positive_for_maximally_mixed_two_qubits():
     gap = ccr_inequality_gap(DensityOperator((2, 2), np.eye(4) / 4), 0)
     assert gap == pytest.approx(0.5, abs=1e-12)

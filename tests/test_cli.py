@@ -405,6 +405,20 @@ def test_eigenvalue_solve_failure_exits_4(monkeypatch, capsys):
     assert "eigenvalue solve failed" in capsys.readouterr().err
 
 
+def test_density_validation_solve_failure_exits_4(tmp_path, monkeypatch, capsys):
+    def fail(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    path = tmp_path / "mixed.json"
+    path.write_bytes(serialize_state(DensityOperator((2, 2), np.eye(4) / 4)))
+    monkeypatch.setattr(ccrkit.core.np.linalg, "eigvalsh", fail)
+    assert main(["check", "--file", str(path), "--flavor", "mixedness"]) == EXIT_NUMERIC
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "eigenvalue solve failed" in captured.err
+
+
 def test_json_report_refuses_nan():
     psi = parse_state_file(json.dumps(BELL_DOC).encode())
     report = dataclasses.replace(ccr_hs(psi, 0), residual=math.nan)
@@ -727,6 +741,14 @@ def test_sweep_nonlocal_column_checks_like_the_public_measure(capsys, tmp_path):
             "--points", "2", "--measures", "C_nl_hs", "--out", str(tmp_path / "x.csv")]
     assert main(argv) == EXIT_INPUT
     assert "at least 2 subsystems" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flavor", ["hs", "vn"])
+def test_check_pure_only_flavor_on_one_subsystem_pure_state_exits_2(flavor, capsys, tmp_path):
+    # The mixed one-qubit case (werner) is pinned in the golden battery.
+    path = write_json(tmp_path / "pure.json", {"dims": [2], "kind": "pure", "data": [[0.6, 0], [0.8, 0]]})
+    assert main(["check", "--file", path, "--flavor", flavor]) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: a correlation term needs at least 2 subsystems\n"
 
 
 @pytest.mark.parametrize(
