@@ -12,7 +12,8 @@ that is not 're' or 're:im', a w, x or p that is not real or not in
 factory flag given with ``--file``, a swept parameter also given as a
 fixed flag, a state-file entry that is not a JSON number (booleans and
 numeric strings are refused) or is too large for a float, a non-finite
-sweep edge, a negative audit seed, a sweep ``--points`` or audit
+sweep edge, a sweep measure column given twice, a sweep whose only
+column is ``sum``, a negative audit seed, a sweep ``--points`` or audit
 ``--count`` above ``MAX_COUNT``, a tolerance that is not a finite
 number >= 0, and a state file or audit signature whose total dimension
 exceeds ``core.MAX_TOTAL_DIM``, and ``hs`` or ``vn`` on a one-subsystem
@@ -286,6 +287,11 @@ def _validate_sweep(config: SweepConfig) -> None:
     unknown = [m for m in config.measures if m != "sum" and m not in MEASURES]
     if unknown:
         raise ValidationError(f"unknown measures {unknown}; expected {sorted(MEASURES)} or 'sum'")
+    repeated = sorted({m for m in config.measures if config.measures.count(m) > 1})
+    if repeated:
+        raise ValidationError(f"measure columns {repeated} are given more than once")
+    if set(config.measures) == {"sum"}:
+        raise ValidationError("a 'sum' column needs at least one other measure column to total")
 
 
 def render_sweep_csv(config: SweepConfig) -> str:
@@ -304,9 +310,8 @@ def render_sweep_csv(config: SweepConfig) -> str:
             if name != "sum"
         }
         # Added left to right, as sum() did before Python 3.12 compensated it, so
-        # that the CSV bytes do not depend on the Python version.  The int start
-        # is sum()'s: a row of only "sum" prints 0.
-        row_total = 0
+        # that the CSV bytes do not depend on the Python version.
+        row_total = 0.0
         for v in measured.values():
             row_total += v
         cells = [float(value)] + [

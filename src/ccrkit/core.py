@@ -10,6 +10,7 @@ are marked read-only.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -47,6 +48,16 @@ RANK_CUTOFF = 1e-12  # eigenvalues above this count toward the purification rank
 MAX_TOTAL_DIM = 4096
 
 
+def _index(value, what: str) -> int:
+    """``value`` as a Python int; a bool, float, str or other non-integer raises ValidationError."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValidationError(f"{what} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DimensionSignature:
     """Ordered subsystem dimensions (d_1, ..., d_n) of a tensor-product space.
@@ -58,7 +69,7 @@ class DimensionSignature:
     dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(_index(d, "subsystem dimension") for d in self.dims)
         object.__setattr__(self, "dims", dims)
         if not dims:
             raise ValidationError("dimension signature must be nonempty")
@@ -207,7 +218,7 @@ def density_from_pure(psi: PureState) -> DensityOperator:
 def _check_target(state: PureState | DensityOperator, target: int, *, need_partner: bool) -> int:
     """``target`` as an int naming a subsystem of state; ``need_partner`` also requires a second one."""
     n = len(state.signature.dims)
-    target = int(target)
+    target = _index(target, "target subsystem")
     if not 0 <= target < n:
         raise ValidationError(f"target subsystem {target} out of range for {n} subsystems")
     if need_partner and n < 2:
@@ -294,7 +305,7 @@ def partial_trace(rho: PureState | DensityOperator, keep: Iterable[int]) -> Dens
     """
     dims = rho.signature.dims
     n = len(dims)
-    keep_list = sorted({int(k) for k in keep})
+    keep_list = sorted({_index(k, "subsystem index") for k in keep})
     if not keep_list:
         raise ValidationError("keep set must be nonempty")
     if keep_list[0] < 0 or keep_list[-1] >= n:

@@ -1,5 +1,7 @@
 """Exception hierarchy used across the package."""
 
+__all__ = ["CcrkitError", "ValidationError", "CapacityError", "PreconditionError", "NumericError"]
+
 
 class CcrkitError(Exception):
     """Base class for all errors raised by ccrkit."""

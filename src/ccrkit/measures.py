@@ -24,6 +24,7 @@ from .core import (
     _block_view,
     _check_target,
     _entropy,
+    _index,
     _partition_blocks,
     _reduced_matrix,
     _require_pure,
@@ -34,7 +35,6 @@ from .core import (
 from .errors import NumericError, ValidationError
 
 __all__ = [
-    "MEASURE_ATOL",
     "MeasureKind",
     "CoherenceKind",
     "MeasureValue",
@@ -213,8 +213,8 @@ def _nonlocal_coherence_hs(
 
 def _split_bipartition(rho: DensityOperator, bipartition) -> tuple[list[int], list[int]]:
     left_raw, right_raw = bipartition
-    left = sorted({int(i) for i in left_raw})
-    right = sorted({int(i) for i in right_raw})
+    left = sorted({_index(i, "subsystem index") for i in left_raw})
+    right = sorted({_index(i, "subsystem index") for i in right_raw})
     n = len(rho.signature.dims)
     if not left or not right:
         raise ValidationError("both parts of the bipartition must be nonempty")

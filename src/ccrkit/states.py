@@ -12,7 +12,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import DensityOperator, DimensionSignature, PureState, _as_signature, _require_capacity
+from .core import DensityOperator, DimensionSignature, PureState, _as_signature, _index, _require_capacity
 from .errors import ValidationError
 
 __all__ = [
@@ -172,15 +172,16 @@ def haar_random_pure(signature, count: int, seed: int) -> Iterator[PureState]:
     Each state normalizes a vector of i.i.d. standard complex Gaussian
     amplitudes; draws with a pre-normalization norm below 1e-6 are thrown
     away and resampled.  A signature over ``core.MAX_TOTAL_DIM`` raises
-    CapacityError, and a negative ``seed`` raises ValidationError, before
+    CapacityError, and a ``count`` or ``seed`` that is not an integer, a
+    ``count`` below 1 or a negative ``seed`` raises ValidationError, before
     anything is drawn.
     """
     signature = _as_signature(signature)
     _require_capacity(signature.total)
-    count = int(count)
+    count = _index(count, "count")
     if count < 1:
         raise ValidationError(f"count must be positive, got {count}")
-    seed = int(seed)
+    seed = _index(seed, "seed")
     if seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)

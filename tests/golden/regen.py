@@ -99,6 +99,8 @@ BAD_COMMANDS = [
     f"{_SWEEP} w --param p --start 0 --stop 2 --measures P_hs",
     f"{_SWEEP} w --param p --start 0 --stop 1 --measures P_hs,bogus",
     f"{_SWEEP} w --param p --start 0 --stop 1 --measures ,",
+    f"{_SWEEP} w --param p --start 0 --stop 1 --measures P_hs,P_hs,sum",
+    f"{_SWEEP} w --param p --start 0 --stop 1 --measures sum",
     "sweep --points 1 --out bad.csv --factory w --param p --start 0 --stop 1 --measures P_hs",
     "check --factory ghz --a000 0.6 --a111 0.8 --flavor hs --target 3",
     "check --factory ghz --a000 0.6 --a111 0.8 --flavor hs --tolerance nan",

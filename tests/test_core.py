@@ -10,12 +10,16 @@ from helpers import brute_partial_trace, dephased, random_density_matrix, random
 import ccrkit.core
 from ccrkit import (
     CapacityError,
+    CoherenceKind,
     DensityOperator,
     DimensionSignature,
     NumericError,
     PureState,
     ValidationError,
+    ccr_hs,
+    correlated_coherence,
     density_from_pure,
+    haar_random_pure,
     hermitian_spectrum,
     linear_entropy,
     partial_trace,
@@ -265,6 +269,34 @@ def test_partial_trace_of_pure_state_rejects_bad_keep():
         partial_trace(psi, [3])
     with pytest.raises(ValidationError, match="out of range"):
         partial_trace(psi, [-1])
+
+
+#: Every library entry point that reads a subsystem index, a dimension, a count
+#: or a seed, called with that one integer set to ``value`` and returning a value
+#: that compares with ==.
+INTEGER_INPUTS = {
+    "target": lambda value: ccr_hs(w_state(0.5), value).residual,
+    "keep": lambda value: partial_trace(w_state(0.5), [value]).matrix.tolist(),
+    "bipartition": lambda value: correlated_coherence(
+        partial_trace(w_state(0.5), [0, 1]), ([value], [1]), CoherenceKind.L1_NORM
+    ),
+    "dims": lambda value: DimensionSignature((2, value)),
+    "count": lambda value: next(haar_random_pure((2, 2), value, 1)).amplitudes.tolist(),
+    "seed": lambda value: next(haar_random_pure((2, 2), 1, value)).amplitudes.tolist(),
+}
+ACCEPTED = {"target": 0, "keep": 0, "bipartition": 0, "dims": 2, "count": 1, "seed": 1}
+
+
+@pytest.mark.parametrize("bad", [1.7, "2", True], ids=["float", "str", "bool"])
+@pytest.mark.parametrize("entry", INTEGER_INPUTS)
+def test_integer_inputs_refuse_non_integers(entry, bad):
+    with pytest.raises(ValidationError, match=r"must be an integer, got "):
+        INTEGER_INPUTS[entry](bad)
+
+
+@pytest.mark.parametrize("entry", INTEGER_INPUTS)
+def test_integer_inputs_accept_numpy_integers(entry):
+    assert INTEGER_INPUTS[entry](np.int64(ACCEPTED[entry])) == INTEGER_INPUTS[entry](ACCEPTED[entry])
 
 
 # ---------------------------------------------------------------------------
