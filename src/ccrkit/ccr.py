@@ -6,11 +6,11 @@ for arbitrary (possibly mixed) states the balance closes instead with the
 local mixedness, and for a mixed global state the pure-state form leaves a
 non-negative information gap.
 
-The three balances and the inequality gap take a PureState or a
-DensityOperator.  Each reduces its input once, with one body for both
-kinds, to the plain ndarray rho_t of ``core._reduced_matrix`` (a PureState
-from its amplitudes, never expanded to |psi><psi|), and reads every term
-from the kernels of ``ccrkit.measures`` and ``core._partition_blocks``.
+The balances are data: one row of ``_BALANCES`` per ``CCRFlavor`` (purity
+hint, bound, term kinds and a terms kernel) run by one body, ``_balance``,
+so a new flavor is a row plus a kernel.  It and the inequality gap reduce a
+PureState (from its amplitudes, never |psi><psi|) or a DensityOperator once,
+to the plain ndarray rho_t of ``core._reduced_matrix``.
 """
 
 from __future__ import annotations
@@ -69,45 +69,53 @@ class CCRReport:
     flavor: CCRFlavor
 
 
-def _assemble(
-    target: int,
-    predictability: MeasureValue,
-    local_coherence: MeasureValue,
-    correlation_term: MeasureValue,
-    bound: float,
-    flavor: CCRFlavor,
-) -> CCRReport:
-    total = predictability.value + local_coherence.value + correlation_term.value
-    return CCRReport(
-        target=target,
-        predictability=predictability,
-        local_coherence=local_coherence,
-        correlation_term=correlation_term,
-        sum=total,
-        bound=bound,
-        residual=total - bound,
-        flavor=flavor,
-    )
+def _vn_terms(state: PureState | DensityOperator, target: int, m: np.ndarray) -> tuple[float, float, float]:
+    p = _diag_probs(m)
+    s_vn = _vn_entropy(m)
+    return _predictability_vn(p), _coherence_re(p, s_vn), s_vn
 
 
-def _hs_local_terms(m: np.ndarray, bound: float) -> tuple[MeasureValue, MeasureValue]:
-    """P_hs and C_hs of the reduced matrix m."""
-    return (
-        MeasureValue(_predictability_hs(_diag_probs(m)), bound, MeasureKind.P_HS),
-        MeasureValue(_coherence_hs(m), bound, MeasureKind.C_HS),
-    )
+def _hs_bound(d: int) -> float:
+    return (d - 1) / d
+
+
+#: flavor -> (hint: why a mixed state is refused, or None when any state and a lone subsystem are
+#: accepted; bound(d); the kinds of P, C and the correlation term; terms(state, target, m) -> (P, C, X)).
+_BALANCES = {
+    CCRFlavor.HS_PURE: (
+        "use ccr_mixedness for the mixed-state form", _hs_bound,
+        (MeasureKind.P_HS, MeasureKind.C_HS, MeasureKind.C_NL_HS),
+        lambda state, t, m: (_predictability_hs(_diag_probs(m)), _coherence_hs(m), _nonlocal_hs_sum(state, t, m)),
+    ),
+    CCRFlavor.VN_PURE_BIPARTITE: (
+        "the entropic CCR requires a pure global state", math.log,
+        (MeasureKind.P_VN, MeasureKind.C_RE, MeasureKind.S_VN), _vn_terms,
+    ),
+    CCRFlavor.HS_MIXEDNESS: (
+        None, _hs_bound,
+        (MeasureKind.P_HS, MeasureKind.C_HS, MeasureKind.S_L),
+        lambda state, t, m: (_predictability_hs(_diag_probs(m)), _coherence_hs(m), 1.0 - _purity(m)),
+    ),
+}
+
+
+def _balance(flavor: CCRFlavor, state: PureState | DensityOperator, target: int) -> CCRReport:
+    """The ``flavor`` row of ``_BALANCES`` on ``state``'s reduction onto ``target``, as a report."""
+    hint, bound_of, (p_kind, c_kind, x_kind), terms = _BALANCES[flavor]
+    target = _check_target(state, target, need_partner=hint is not None)
+    if hint is not None:
+        _require_pure(state, hint)
+    m = _reduced_matrix(state, [target])
+    bound = bound_of(m.shape[0])
+    p, c, x = terms(state, target, m)
+    p, c, x = MeasureValue(p, bound, p_kind), MeasureValue(c, bound, c_kind), MeasureValue(x, bound, x_kind)
+    total = p.value + c.value + x.value
+    return CCRReport(target, p, c, x, total, bound, total - bound, flavor)
 
 
 def ccr_hs(rho_full: PureState | DensityOperator, target: int) -> CCRReport:
     """Hilbert-Schmidt balance P_hs + C_hs + C_nl_hs = (d - 1)/d for pure global states."""
-    target = _check_target(rho_full, target, need_partner=True)
-    _require_pure(rho_full, "use ccr_mixedness for the mixed-state form")
-    m = _reduced_matrix(rho_full, [target])
-    d_t = m.shape[0]
-    bound = (d_t - 1) / d_t
-    predictability, coherence = _hs_local_terms(m, bound)
-    correlation = MeasureValue(_nonlocal_hs_sum(rho_full, target, m), bound, MeasureKind.C_NL_HS)
-    return _assemble(target, predictability, coherence, correlation, bound, CCRFlavor.HS_PURE)
+    return _balance(CCRFlavor.HS_PURE, rho_full, target)
 
 
 def ccr_vn(rho_full: PureState | DensityOperator, target: int) -> CCRReport:
@@ -117,20 +125,7 @@ def ccr_vn(rho_full: PureState | DensityOperator, target: int) -> CCRReport:
     state to be pure, so mixed inputs are rejected.  The spectrum is solved
     once, and S_vn and C_re both read it.
     """
-    target = _check_target(rho_full, target, need_partner=True)
-    _require_pure(rho_full, "the entropic CCR requires a pure global state")
-    m = _reduced_matrix(rho_full, [target])
-    bound = math.log(m.shape[0])
-    p = _diag_probs(m)
-    s_vn = _vn_entropy(m)
-    return _assemble(
-        target,
-        MeasureValue(_predictability_vn(p), bound, MeasureKind.P_VN),
-        MeasureValue(_coherence_re(p, s_vn), bound, MeasureKind.C_RE),
-        MeasureValue(s_vn, bound, MeasureKind.S_VN),
-        bound,
-        CCRFlavor.VN_PURE_BIPARTITE,
-    )
+    return _balance(CCRFlavor.VN_PURE_BIPARTITE, rho_full, target)
 
 
 def ccr_mixedness(rho_any: PureState | DensityOperator, target: int) -> CCRReport:
@@ -141,12 +136,7 @@ def ccr_mixedness(rho_any: PureState | DensityOperator, target: int) -> CCRRepor
     entropy term quantifies the mixedness of the subsystem whatever its
     origin (correlations or environment noise).
     """
-    target = _check_target(rho_any, target, need_partner=False)
-    m = _reduced_matrix(rho_any, [target])
-    d_t = m.shape[0]
-    bound = (d_t - 1) / d_t
-    mixedness = MeasureValue(1.0 - _purity(m), bound, MeasureKind.S_L)
-    return _assemble(target, *_hs_local_terms(m, bound), mixedness, bound, CCRFlavor.HS_MIXEDNESS)
+    return _balance(CCRFlavor.HS_MIXEDNESS, rho_any, target)
 
 
 def ccr_inequality_gap(rho_any: PureState | DensityOperator, target: int) -> float:

@@ -35,6 +35,7 @@ import gc
 import itertools
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -453,7 +454,14 @@ def _add_factory_flags(parser: argparse.ArgumentParser) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises ValidationError (exit 2 from ``main``) where argparse would print usage and exit; subparsers inherit it."""
+    """Raises ValidationError (exit 2 from ``main``) where argparse would print usage and exit; subparsers inherit it.
+
+    No flag starts with a digit, so a word such as ``-1e-3``, ``-.5`` or ``-0.3:0.5`` is always a value.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         raise ValidationError(message)

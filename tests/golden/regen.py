@@ -42,7 +42,8 @@ AUDITS = [((2, 2, 2), 20, 42), ((3, 3), 10, 7), ((2,) * 5, 8, 5)]
 FLAVORS = ("hs", "vn", "mixedness")
 
 #: The point at which ``check`` evaluates each factory, and the fixed flags of
-#: its sweeps.  A negative re:im value needs the ``--name=value`` form.
+#: its sweeps, passed as ``--name=value``; a negative value parses the same
+#: way without the ``=``.
 FACTORY_POINTS = {
     "werner": {"w": "0.5", "x": "0.6"},
     "bipartite-x": {"x": "0.6"},

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -103,6 +104,77 @@ def brute_offdiag_defect(matrix, dims, left):
         [matrix[flat(i, j), flat(i, l)] for i in left_idx] for j, l in itertools.permutations(right_idx, 2)
     ]
     return max(abs(abs(sum(terms)) ** 2 - sum(abs(t) ** 2 for t in terms)) for terms in term_lists)
+
+
+def _scaled_integers(values):
+    """Each float of ``values`` read as its exact Fraction, times their common denominator: a list of ints.
+
+    A finite float is a dyadic rational, so the common denominator is a power of 2.
+    """
+    fractions = [Fraction(v) for v in values]
+    scale = max(f.denominator for f in fractions)
+    return [int(f * scale) for f in fractions]
+
+
+def exact_terms(state, target):
+    """Exact P_hs, C_hs, 1 - Tr rho_t^2, the index-partition C_nl and the inequality gap on ``target``.
+
+    Every float of a PureState's amplitudes a, or of a DensityOperator's entries R, is read as
+    the Fraction it is exactly.  The state is rho = a a^dag / ||a||^2, or rho = (R + R^dag) / Tr(R + R^dag),
+    so the oracle does not inherit the input's rounding of its norm.  Each value is a quadratic form
+    in rho, so it is evaluated on the unnormalized integer matrix (every input float scaled by one
+    power of 2) and divided by the squared trace once, as a Fraction.  The target is addressed by its
+    explicit mixed-radix stride: flat index k has digit (k // stride) % d on it, with stride the
+    product of the dimensions after it; no reshape is involved.
+    """
+    dims = state.signature.dims
+    total = math.prod(dims)
+    if isinstance(state, PureState):
+        ints = _scaled_integers([v for z in state.amplitudes for v in (z.real, z.imag)])
+        re, im = ints[0::2], ints[1::2]
+        # rho_kl = a_k conj(a_l)
+        rho = [[(re[k] * re[l] + im[k] * im[l], im[k] * re[l] - re[k] * im[l]) for l in range(total)]
+               for k in range(total)]
+    else:
+        ints = _scaled_integers([v for z in state.matrix.ravel() for v in (z.real, z.imag)])
+        re, im = ints[0::2], ints[1::2]
+        # (R + R^dag)_kl, exactly Hermitian
+        rho = [[(re[k * total + l] + re[l * total + k], im[k * total + l] - im[l * total + k]) for l in range(total)]
+               for k in range(total)]
+    d = dims[target]
+    stride = math.prod(dims[target + 1:])
+    # A rest index I is a flat index whose target digit is 0; flat(i, I) = I + i * stride.
+    rest = [k for k in range(total) if (k // stride) % d == 0]
+    norm = sum(rho[k][k][0] for k in range(total))
+
+    def entry(i, big_i, j, big_j):
+        return rho[big_i + i * stride][big_j + j * stride]
+
+    def abs2(z):
+        return z[0] * z[0] + z[1] * z[1]
+
+    reduced = [[tuple(sum(entry(i, big, j, big)[part] for big in rest) for part in (0, 1)) for j in range(d)]
+               for i in range(d)]
+    p = [reduced[i][i][0] for i in range(d)]
+    pairs = list(itertools.permutations(range(d), 2))
+    purity = sum(abs2(z) for row in reduced for z in row)
+    c_hs = sum(abs2(reduced[i][j]) for i, j in pairs)
+    c_nl = 0
+    gap = 0
+    for i, j in pairs:
+        gap += p[i] * p[j] - sum(abs2(entry(i, big_i, j, big_j)) for big_i in rest for big_j in rest)
+        for big_i, big_j in itertools.permutations(rest, 2):
+            left, right = entry(i, big_i, j, big_i), entry(i, big_j, j, big_j)
+            # Re(rho_{iI,jI} conj(rho_{iJ,jJ})): the (I, J) and (J, I) terms are conjugate, so the sum is real.
+            c_nl += abs2(entry(i, big_i, j, big_j)) - (left[0] * right[0] + left[1] * right[1])
+    n2 = norm * norm
+    return {
+        "P_hs": Fraction(sum(x * x for x in p), n2) - Fraction(1, d),
+        "C_hs": Fraction(c_hs, n2),
+        "S_l": 1 - Fraction(purity, n2),
+        "C_nl": Fraction(c_nl, n2),
+        "gap": Fraction(gap, n2),
+    }
 
 
 def complex_from_pairs(pairs):

@@ -1,20 +1,27 @@
 """Complementarity balances: residual identities and the mixed-state gap."""
 
 import math
+import re
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from helpers import (
     brute_nonlocal_sum,
     brute_partial_trace,
+    exact_terms,
     nonlocal_coherence_hs_via_entropy,
     random_density_matrix,
     random_pure_vector,
 )
 
+import ccrkit.ccr
+import ccrkit.cli
 import ccrkit.core
 from ccrkit import (
     CCRFlavor,
+    CCRReport,
     CoherenceKind,
     DensityOperator,
     MeasureKind,
@@ -78,12 +85,6 @@ def test_ccr_hs_rejects_mixed_and_names_alternative():
         ccr_hs(rho, 0)
 
 
-def test_ccr_hs_needs_two_subsystems():
-    rho = density_from_pure(PureState((2,), [1.0, 0.0]))
-    with pytest.raises(ValidationError, match="2 subsystems"):
-        ccr_hs(rho, 0)
-
-
 # ---------------------------------------------------------------------------
 # vn flavor
 
@@ -114,11 +115,6 @@ def test_ccr_vn_balanced_ghz():
     assert report.predictability.value == pytest.approx(0.0, abs=1e-10)
     assert report.local_coherence.value == pytest.approx(0.0, abs=1e-10)
     assert report.correlation_term.value == pytest.approx(math.log(2), abs=1e-10)
-
-
-def test_ccr_vn_rejects_mixed():
-    with pytest.raises(PreconditionError, match="pure"):
-        ccr_vn(DensityOperator((2, 2), np.eye(4) / 4), 0)
 
 
 def test_ccr_vn_coherence_matches_coherence_re_bit_for_bit():
@@ -201,6 +197,40 @@ def test_ccr_hs_and_mixedness_agree_on_pure_inputs():
             assert abs(hs.predictability.value - mx.predictability.value) < 1e-12
             assert abs(hs.local_coherence.value - mx.local_coherence.value) < 1e-12
             assert abs(hs.correlation_term.value - mx.correlation_term.value) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the balance table
+
+
+_BELL = PureState((2, 2), np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2))
+
+
+def test_every_flavor_has_one_row_one_public_balance_and_one_cli_name():
+    assert list(ccrkit.ccr._BALANCES) == list(CCRFlavor)
+    public = [getattr(ccrkit.ccr, name) for name in ccrkit.ccr.__all__ if name.startswith("ccr_")]
+    reports = [report for report in (balance(_BELL, 0) for balance in public) if isinstance(report, CCRReport)]
+    assert Counter(report.flavor for report in reports) == Counter(CCRFlavor)
+    assert Counter(balance(_BELL, 0).flavor for balance in ccrkit.cli._FLAVOR_FUNCS.values()) == Counter(CCRFlavor)
+
+
+@pytest.mark.parametrize("balance", [ccr_hs, ccr_vn, ccr_mixedness], ids=lambda balance: balance.__name__)
+def test_refusals_follow_the_balance_row(balance):
+    hint = ccrkit.ccr._BALANCES[balance(_BELL, 0).flavor][0]
+    lone = [density_from_pure(PureState((2,), [1.0, 0.0])), DensityOperator((2,), np.eye(2) / 2)]
+    mixed = DensityOperator((2, 2), np.eye(4) / 4)
+    if balance is ccr_mixedness:
+        assert hint is None
+        for state in (*lone, mixed):
+            assert balance(state, 0).flavor is CCRFlavor.HS_MIXEDNESS
+        return
+    assert hint
+    # The partner check comes first, so a mixed lone subsystem is refused for want of a partner.
+    for state in lone:
+        with pytest.raises(ValidationError, match="needs at least 2 subsystems$"):
+            balance(state, 0)
+    with pytest.raises(PreconditionError, match=re.escape(hint) + "$"):
+        balance(mixed, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +357,41 @@ def test_index_partition_sum_matches_literal_oracle(dims):
             assert ccr_inequality_gap(rho, target) == pytest.approx(expected_gap, abs=1e-12)
             if rho is pure:
                 assert nonlocal_coherence_hs_direct(rho, target).value == pytest.approx(literal, abs=1e-12)
+
+
+# The forward error of each float term against ``helpers.exact_terms`` is bounded by C_EXACT * D * eps.
+# Each term is a quadratic form in the entries of rho_t (or of rho, for the gap), and each such entry
+# is a sum of at most D products of numbers of modulus <= 1; a sum of n terms rounded to nearest errs
+# by at most about n * eps times the sum of their moduli, so a first-order worst case is a small
+# multiple of D * eps.  numpy's pairwise sums and BLAS dots err like sqrt(n) * eps in practice: over
+# these inputs the worst seen is 0.28 * D * eps (2.2 eps).  C_EXACT = 1 keeps a margin of about 4 and
+# still fails on any term that is wrong, or whose error grows faster than D * eps.
+C_EXACT = 1.0
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (3, 2, 4), (2, 3, 2, 2)])
+def test_hs_terms_and_gap_match_the_exact_rational_oracle(dims):
+    bound = C_EXACT * math.prod(dims) * np.finfo(float).eps
+    n = len(dims)
+    pure = list(haar_random_pure(dims, 3, seed=n))
+    mixed = [partial_trace(psi, range(n)) for psi in haar_random_pure(dims + (2,), 3, seed=n)]
+    inputs = [(state, True) for state in pure + [density_from_pure(psi) for psi in pure]]
+    for state, is_pure in inputs + [(state, False) for state in mixed]:
+        for target in range(n):
+            exact = exact_terms(state, target)
+            d = dims[target]
+            # The oracle's own identities: the four terms add up to (d - 1)/d, and on amplitudes
+            # the gap is 0 and C_nl is the linear entropy, all exactly.
+            assert exact["P_hs"] + exact["C_hs"] + exact["C_nl"] + exact["gap"] == Fraction(d - 1, d)
+            if isinstance(state, PureState):
+                assert exact["gap"] == 0 and exact["C_nl"] == exact["S_l"]
+            report = ccr_mixedness(state, target)
+            got = {"P_hs": report.predictability.value, "C_hs": report.local_coherence.value,
+                   "S_l": report.correlation_term.value, "gap": ccr_inequality_gap(state, target)}
+            if is_pure:
+                got["C_nl"] = ccr_hs(state, target).correlation_term.value
+            for name, value in got.items():
+                assert abs(Fraction(value) - exact[name]) <= bound, (name, target)
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (3, 2, 4), (2, 1, 3)])

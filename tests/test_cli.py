@@ -455,6 +455,28 @@ def test_check_amplitude_re_im_syntax():
     assert code == EXIT_OK
 
 
+@pytest.mark.parametrize(
+    "argv, flag, value, code, err",
+    [
+        ("sweep --factory w --param p --stop 1 --points 3 --measures P_hs --out {out}", "--start", "-1e-3",
+         EXIT_INPUT, "error: parameter p must lie in [0, 1], got -0.001\n"),
+        ("check --factory acin --lambda1 0.6:0.2 --lambda2 0.1 --lambda4 0.2 --flavor hs", "--lambda3", "-0.3:0.5",
+         EXIT_OK, ""),
+        ("check --factory ghz --a000 0.6 --a111 0.8 --flavor hs", "--tolerance", "-1e-3",
+         EXIT_INPUT, "error: tolerance must be a finite number >= 0, got -0.001\n"),
+    ],
+    ids=["scientific", "re-im", "tolerance"],
+)
+def test_negative_flag_values_need_no_equals_sign(argv, flag, value, code, err, tmp_path, capsys):
+    # Read as a flag, the value would leave ``flag`` with "expected one argument".
+    base = argv.format(out=tmp_path / "x.csv").split()
+    assert main(base + [flag, value]) == code
+    separate = capsys.readouterr()
+    assert separate.err == err
+    assert main(base + [f"{flag}={value}"]) == code
+    assert capsys.readouterr() == separate
+
+
 @pytest.mark.parametrize("a000", ["1e400", "nan", "1:-1e400", "1e200"])
 def test_check_non_finite_amplitude_exits_2(a000, capsys):
     argv = ["check", "--factory", "ghz", f"--a000={a000}", "--a111", "1", "--flavor", "hs"]
