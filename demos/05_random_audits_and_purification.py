@@ -12,6 +12,7 @@ import numpy as np
 
 from ccrkit import (
     DensityOperator,
+    audit,
     ccr_hs,
     ccr_inequality_gap,
     ccr_vn,
@@ -39,13 +40,9 @@ for dims in SIGNATURES:
 print()
 print("== balance residuals on the same kind of ensemble ==")
 for dims in [(2, 2), (2, 2, 2)]:
-    worst_hs = worst_vn = 0.0
-    for psi in haar_random_pure(dims, 200, seed=12):
-        rho = density_from_pure(psi)
-        for target in range(len(dims)):
-            worst_hs = max(worst_hs, abs(ccr_hs(rho, target).residual))
-            worst_vn = max(worst_vn, abs(ccr_vn(rho, target).residual))
-    print(f"  {dims}: max |residual| hs = {worst_hs:.2e}, vn = {worst_vn:.2e}")
+    hs, vn = (audit(dims, 200, 12, balance) for balance in (ccr_hs, ccr_vn))
+    print(f"  {dims}: max |residual| hs = {hs.max_residual:.2e}, vn = {vn.max_residual:.2e}"
+          f" (worst state, target: {hs.worst}, {vn.worst})")
 
 print()
 print("== mixed global states leave a gap ==")

@@ -10,7 +10,8 @@ The balances are data: one row of ``_BALANCES`` per ``CCRFlavor`` (purity
 hint, bound, term kinds and a terms kernel) run by one body, ``_balance``,
 so a new flavor is a row plus a kernel.  It and the inequality gap reduce a
 PureState (from its amplitudes, never |psi><psi|) or a DensityOperator once,
-to the plain ndarray rho_t of ``core._reduced_matrix``.
+to the plain ndarray rho_t of ``core._reduced_matrix``.  ``audit`` runs a
+balance on every target of a Haar-random ensemble.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -31,6 +33,7 @@ from .core import (
     _require_pure,
     _vn_entropy,
 )
+from .errors import ValidationError
 from .measures import (
     MeasureKind,
     MeasureValue,
@@ -42,8 +45,9 @@ from .measures import (
     _predictability_hs,
     _predictability_vn,
 )
+from .states import haar_random_pure
 
-__all__ = ["CCRFlavor", "CCRReport", "ccr_hs", "ccr_vn", "ccr_mixedness", "ccr_inequality_gap"]
+__all__ = ["CCRFlavor", "CCRReport", "ccr_hs", "ccr_vn", "ccr_mixedness", "ccr_inequality_gap", "AuditResult", "audit"]
 
 
 class CCRFlavor(enum.Enum):
@@ -149,3 +153,34 @@ def ccr_inequality_gap(rho_any: PureState | DensityOperator, target: int) -> flo
     m = _reduced_matrix(rho_any, [target])
     p = m.diagonal().real
     return float(_offdiag_entries(p[:, None] * p - _partition_blocks(rho_any, target, m)).sum())
+
+
+@dataclass(frozen=True, slots=True)
+class AuditResult:
+    """An ``audit``'s check count, max and mean |residual|, and the (state index, target) of the first
+    check that reached the max (``worst``; (0, 0) if every residual is 0.0)."""
+
+    checks: int
+    max_residual: float
+    mean_residual: float
+    worst: tuple[int, int]
+
+
+def audit(dims, count: int, seed: int, balance: Callable[[PureState, int], CCRReport]) -> AuditResult:
+    """``balance`` on every target of each ``haar_random_pure(dims, count, seed)`` state, in order.
+
+    Fewer than 2 subsystems, an over-cap ``dims``, a bad ``count`` or a negative ``seed`` raise before ``balance`` runs.
+    """
+    dims = tuple(dims)
+    if len(dims) < 2:
+        raise ValidationError(f"CCR auditing needs at least 2 subsystems, got dims {dims}")
+    # A running max and a left-to-right total, which sum() no longer is from Python 3.12 on.
+    worst, max_residual, total = (0, 0), 0.0, 0.0
+    for index, psi in enumerate(haar_random_pure(dims, count, seed)):
+        for target in range(len(dims)):
+            residual = abs(balance(psi, target).residual)
+            if residual > max_residual:
+                worst, max_residual = (index, target), residual
+            total += residual
+    checks = count * len(dims)
+    return AuditResult(checks, max_residual, total / checks, worst)

@@ -23,8 +23,10 @@ to a pure-only flavor), 4 numeric failure (an eigenvalue solve that fails,
 or a measure that comes out NaN or infinite).
 
 ``check`` and ``audit`` hand pure states to the balances as amplitudes;
-neither builds the D x D density |psi><psi| for pure input.  ``sweep``
-reduces each row's state once and passes that to every column.
+neither builds the D x D density |psi><psi| for pure input.  ``audit``
+checks its flags and prints the ``AuditResult`` of ``ccr.audit``, which
+draws the states and runs the balance.  ``sweep`` reduces each row's state
+once and passes that to every column.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ccr import CCRReport, ccr_hs, ccr_mixedness, ccr_vn
+from .ccr import CCRReport, audit, ccr_hs, ccr_mixedness, ccr_vn
 from .core import (
     DensityOperator,
     DimensionSignature,
@@ -69,7 +71,7 @@ from .measures import (
     predictability_l1,
     predictability_vn,
 )
-from .states import FACTORY_PARAMS, build, haar_random_pure
+from .states import FACTORY_PARAMS, build
 
 __all__ = [
     "parse_state_file",
@@ -418,27 +420,15 @@ def cmd_audit(args) -> int:
         dims = tuple(int(part) for part in args.dims.split(","))
     except ValueError as exc:
         raise ValidationError(f"cannot parse --dims {args.dims!r}; expected e.g. 2,2,3") from exc
-    if len(dims) < 2:
-        raise ValidationError(f"CCR auditing needs at least 2 subsystems, got dims {dims}")
-    signature = DimensionSignature(dims)
     if not 1 <= args.count <= MAX_COUNT:
         raise ValidationError(f"--count must be between 1 and {MAX_COUNT}, got {args.count}")
-    flavor = _FLAVOR_FUNCS[args.flavor]
-    # A running max and a left-to-right total, which sum() no longer is from Python 3.12 on.
-    worst = total = 0.0
-    for psi in haar_random_pure(signature, args.count, args.seed):
-        for target in range(len(dims)):
-            residual = abs(flavor(psi, target).residual)
-            worst = max(worst, residual)
-            total += residual
-    checks = args.count * len(dims)
-    mean = total / checks
-    passed = worst < tolerance
+    result = audit(dims, args.count, args.seed, _FLAVOR_FUNCS[args.flavor])
+    passed = result.max_residual < tolerance
     print(
         f"audit dims={args.dims} flavor={args.flavor} states={args.count} seed={args.seed} "
-        f"checks={checks}"
+        f"checks={result.checks}"
     )
-    print(f"max|residual|={worst:.3e} mean|residual|={mean:.3e} tolerance={tolerance:.3e}")
+    print(f"max|residual|={result.max_residual:.3e} mean|residual|={result.mean_residual:.3e} tolerance={tolerance:.3e}")
     print("PASS" if passed else "FAIL")
     return EXIT_OK if passed else EXIT_FAIL
 
@@ -456,12 +446,13 @@ def _add_factory_flags(parser: argparse.ArgumentParser) -> None:
 class _Parser(argparse.ArgumentParser):
     """Raises ValidationError (exit 2 from ``main``) where argparse would print usage and exit; subparsers inherit it.
 
-    No flag starts with a digit, so a word such as ``-1e-3``, ``-.5`` or ``-0.3:0.5`` is always a value.
+    No flag is a ``-`` followed by a digit, ``i`` or ``n``, so a word such as ``-1e-3``, ``-.5``,
+    ``-0.3:0.5``, ``-inf``, ``-Infinity`` or ``-nan`` is always a value.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         raise ValidationError(message)

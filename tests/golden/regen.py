@@ -113,6 +113,10 @@ BAD_COMMANDS = [
     "audit --dims 64,65 --count 5 --flavor hs",
     "audit --dims 2,2 --count 0 --flavor hs",
     "audit --dims 2,2 --count 5 --seed -1 --flavor hs",
+    f"{_SWEEP} werner --w 0.5 --param x --start -inf --stop 1 --measures P_hs",
+    "audit --dims 2,2 --count 5 --flavor hs --tolerance -Infinity",
+    "check --factory werner --w -inf:0 --x 0.5 --flavor mixedness",
+    "check --factory w --p -nan --flavor hs",
 ]
 
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from golden import regen
 from helpers import (
     brute_nonlocal_sum,
     brute_partial_trace,
@@ -20,6 +21,8 @@ import ccrkit.ccr
 import ccrkit.cli
 import ccrkit.core
 from ccrkit import (
+    AuditResult,
+    CapacityError,
     CCRFlavor,
     CCRReport,
     CoherenceKind,
@@ -29,6 +32,7 @@ from ccrkit import (
     PreconditionError,
     PureState,
     ValidationError,
+    audit,
     ccr_hs,
     ccr_inequality_gap,
     ccr_mixedness,
@@ -271,6 +275,46 @@ def test_residuals_on_random_pure_states():
             for target in range(len(dims)):
                 assert abs(ccr_hs(rho, target).residual) < 1e-12
                 assert abs(ccr_vn(rho, target).residual) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# ensemble audit
+
+
+@pytest.mark.parametrize("dims, count, seed", regen.AUDITS)
+@pytest.mark.parametrize("flavor", regen.FLAVORS)
+def test_audit_record_matches_the_cli_line_and_locates_its_worst_check(dims, count, seed, flavor, capsys):
+    balance = ccrkit.cli._FLAVOR_FUNCS[flavor]
+    result = audit(dims, count, seed, balance)
+    argv = ["audit", "--dims", ",".join(map(str, dims)), "--count", str(count), "--seed", str(seed), "--flavor", flavor]
+    assert ccrkit.cli.main(argv) == 0
+    header, residuals, _ = capsys.readouterr().out.splitlines()
+    assert header.endswith(f" checks={result.checks}") and result.checks == count * len(dims)
+    assert residuals.startswith(f"max|residual|={result.max_residual:.3e} mean|residual|={result.mean_residual:.3e} ")
+    index, target = result.worst
+    *_, psi = haar_random_pure(dims, index + 1, seed)
+    assert abs(balance(psi, target).residual) == result.max_residual
+    every = [abs(balance(psi, t).residual) for psi in haar_random_pure(dims, count, seed) for t in range(len(dims))]
+    assert every.index(max(every)) == index * len(dims) + target
+
+
+def test_audit_worst_is_the_first_check_when_every_residual_is_0():
+    zero = CCRReport(0, *[MeasureValue(0.0, 0.5, MeasureKind.P_HS)] * 3, 0.5, 0.5, 0.0, CCRFlavor.HS_PURE)
+    assert audit((2, 2), 3, 1, lambda psi, target: zero) == AuditResult(6, 0.0, 0.0, (0, 0))
+
+
+@pytest.mark.parametrize("dims, count, seed, error, message", [
+    ((2,), 1, 0, ValidationError, "at least 2 subsystems"),
+    ((2,) * 13, 1, 0, CapacityError, "exceeds the configured maximum"),
+    ((2, 2), 0, 0, ValidationError, "count must be positive"),
+    ((2, 2), 1, -1, ValidationError, "seed must be a non-negative integer"),
+], ids=["one-subsystem", "over-cap", "count-0", "seed-negative"])
+def test_audit_refuses_before_any_balance_runs(dims, count, seed, error, message):
+    def refuse(state, target):
+        raise AssertionError("balance ran")
+
+    with pytest.raises(error, match=message):
+        audit(dims, count, seed, refuse)
 
 
 # ---------------------------------------------------------------------------

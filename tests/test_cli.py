@@ -464,8 +464,14 @@ def test_check_amplitude_re_im_syntax():
          EXIT_OK, ""),
         ("check --factory ghz --a000 0.6 --a111 0.8 --flavor hs", "--tolerance", "-1e-3",
          EXIT_INPUT, "error: tolerance must be a finite number >= 0, got -0.001\n"),
+        ("sweep --factory w --param p --stop 1 --points 3 --measures P_hs --out {out}", "--start", "-Infinity",
+         EXIT_INPUT, "error: sweep grid edges must be finite with a finite span, got -inf and 1.0\n"),
+        ("audit --dims 2,2 --count 5 --flavor hs", "--tolerance", "-NaN",
+         EXIT_INPUT, "error: tolerance must be a finite number >= 0, got nan\n"),
+        ("check --factory acin --lambda2 0.1 --lambda3 0.1 --lambda4 0.2 --flavor hs", "--lambda1", "-inf:0",
+         EXIT_INPUT, "error: amplitude parameters must be finite, with a sum of squares that fits in a float\n"),
     ],
-    ids=["scientific", "re-im", "tolerance"],
+    ids=["scientific", "re-im", "tolerance", "infinity", "nan", "inf-re-im"],
 )
 def test_negative_flag_values_need_no_equals_sign(argv, flag, value, code, err, tmp_path, capsys):
     # Read as a flag, the value would leave ``flag`` with "expected one argument".
@@ -905,7 +911,7 @@ def test_audit_calls_its_balance_once_per_state_and_target(flavor, monkeypatch):
             yield psi
 
     monkeypatch.setitem(ccrkit.cli._FLAVOR_FUNCS, flavor, counted_balance)
-    monkeypatch.setattr(ccrkit.cli, "haar_random_pure", counted_states)
+    monkeypatch.setattr(ccrkit.ccr, "haar_random_pure", counted_states)
     assert main(f"audit --dims 2,3,2 --count 7 --seed 5 --flavor {flavor}".split()) == EXIT_OK
     assert targets == [0, 1, 2] * 7
     assert len(drawn) == 7
@@ -942,7 +948,7 @@ def test_over_cap_points_and_count_exit_2_before_allocating(argv, monkeypatch, c
         raise AssertionError("allocated")
 
     monkeypatch.setattr(ccrkit.cli.np, "linspace", refuse)
-    monkeypatch.setattr(ccrkit.cli, "haar_random_pure", refuse)
+    monkeypatch.setattr(ccrkit.ccr, "haar_random_pure", refuse)
     monkeypatch.chdir(tmp_path)
     assert main(argv.format(n=ccrkit.cli.MAX_COUNT + 1).split()) == EXIT_INPUT
     err = capsys.readouterr().err
