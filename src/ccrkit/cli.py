@@ -15,18 +15,21 @@ numeric strings are refused) or is too large for a float, a non-finite
 sweep edge, a sweep measure column given twice, a sweep whose only
 column is ``sum``, a negative audit seed, a sweep ``--points`` or audit
 ``--count`` above ``MAX_COUNT``, a tolerance that is not a finite
-number >= 0, and a state file or audit signature whose total dimension
-exceeds ``core.MAX_TOTAL_DIM``, and ``hs`` or ``vn`` on a one-subsystem
-state, pure or mixed, since the partner check comes before the purity
-check), 3 precondition error (a mixed state of two or more subsystems fed
-to a pure-only flavor), 4 numeric failure (an eigenvalue solve that fails,
-or a measure that comes out NaN or infinite).
+number >= 0, a state file or audit signature whose total dimension
+exceeds ``core.MAX_TOTAL_DIM``, a target out of range, and ``hs`` or ``vn``
+or a sweep column of ``PARTNER_COLUMNS`` on a one-subsystem state, pure or
+mixed, since the partner check comes before the purity check), 3
+precondition error (a mixed state of two or more subsystems fed to a
+pure-only flavor), 4 numeric failure (an eigenvalue solve that fails, or a
+measure that comes out NaN or infinite).
 
 ``check`` and ``audit`` hand pure states to the balances as amplitudes;
 neither builds the D x D density |psi><psi| for pure input.  ``audit``
 checks its flags and prints the ``AuditResult`` of ``ccr.audit``, which
-draws the states and runs the balance.  ``sweep`` reduces each row's state
-once and passes that to every column.
+draws the states and runs the balance.  ``sweep`` checks each row's target,
+and its partner when a column needs one, with ``check``'s messages; it makes
+one ``partial_trace`` per row and passes that to every column, and ``C_nl_hs``
+reads the public measure.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -65,8 +69,8 @@ from .measures import (
     coherence_re,
     concurrence_generalized,
     _correlated_coherence,
-    _nonlocal_coherence_hs,
     correlated_coherence,
+    nonlocal_coherence_hs_direct,
     predictability_hs,
     predictability_l1,
     predictability_vn,
@@ -206,31 +210,24 @@ def _others(rho: DensityOperator, target: int) -> list[int]:
     return [m for m in range(len(rho.signature.dims)) if m != target]
 
 
-def _corr_rest(kind: CoherenceKind):
-    def value(rho, reduced, target):
-        target = _check_target(rho, target, need_partner=True)
-        return _correlated_coherence(rho, reduced, partial_trace(rho, _others(rho, target)), kind)
-
-    return value
+def _corr_rest(kind: CoherenceKind, rho, reduced, target: int) -> float:
+    return _correlated_coherence(rho, reduced, partial_trace(rho, _others(rho, target)), kind)
 
 
-def _corr_pairsum(kind: CoherenceKind):
-    def value(rho, reduced, target):
-        target = _check_target(rho, target, need_partner=True)
-        total = 0.0
-        for m in _others(rho, target):
-            pair = partial_trace(rho, [target, m])
-            pos = 0 if target < m else 1
-            total += correlated_coherence(pair, ([pos], [1 - pos]), kind)
-        return total
-
-    return value
+def _corr_pairsum(kind: CoherenceKind, rho, reduced, target: int) -> float:
+    total = 0.0
+    for m in _others(rho, target):
+        pair = partial_trace(rho, [target, m])
+        pos = 0 if target < m else 1
+        total += correlated_coherence(pair, ([pos], [1 - pos]), kind)
+    return total
 
 
 #: Measures addressable by name in sweep CSV columns, called as (rho, reduced, target)
-#: with the row's one reduction partial_trace(rho, [target]).  Only C_nl_hs and the
-#: correlation-type entries also read ``rho``; C_corr_hs, C_corr_l1 and C_corr_re take
-#: ``reduced`` as their target side.  "sum" totals the other columns.
+#: with a target that ``render_sweep_csv`` has checked and the row's one reduction
+#: partial_trace(rho, [target]).  Only the PARTNER_COLUMNS also read ``rho``: C_nl_hs is
+#: the public measure, and C_corr_hs, C_corr_l1 and C_corr_re take ``reduced`` as their
+#: target side.  "sum" totals the other columns.
 MEASURES = {
     "P_hs": lambda rho, r, t: predictability_hs(r).value,
     "P_vn": lambda rho, r, t: predictability_vn(r).value,
@@ -241,16 +238,19 @@ MEASURES = {
     "S_vn": lambda rho, r, t: von_neumann_entropy(r),
     "S_l": lambda rho, r, t: linear_entropy(r),
     "purity": lambda rho, r, t: purity(r),
-    "C_nl_hs": lambda rho, r, t: _nonlocal_coherence_hs(rho, t, r.matrix).value,
-    "C_corr_hs": _corr_rest(CoherenceKind.HILBERT_SCHMIDT),
-    "C_corr_l1": _corr_rest(CoherenceKind.L1_NORM),
-    "C_corr_re": _corr_rest(CoherenceKind.RELATIVE_ENTROPY),
-    "C_corr_hs_pairsum": _corr_pairsum(CoherenceKind.HILBERT_SCHMIDT),
-    "C_corr_l1_pairsum": _corr_pairsum(CoherenceKind.L1_NORM),
+    "C_nl_hs": lambda rho, r, t: nonlocal_coherence_hs_direct(rho, t).value,
+    "C_corr_hs": partial(_corr_rest, CoherenceKind.HILBERT_SCHMIDT),
+    "C_corr_l1": partial(_corr_rest, CoherenceKind.L1_NORM),
+    "C_corr_re": partial(_corr_rest, CoherenceKind.RELATIVE_ENTROPY),
+    "C_corr_hs_pairsum": partial(_corr_pairsum, CoherenceKind.HILBERT_SCHMIDT),
+    "C_corr_l1_pairsum": partial(_corr_pairsum, CoherenceKind.L1_NORM),
     "P_jb_sq": lambda rho, r, t: 2.0 * predictability_hs(r).value,
     "C_jb_sq": lambda rho, r, t: 2.0 * linear_entropy(r),
     "concurrence": lambda rho, r, t: concurrence_generalized(r).value,
 }
+
+#: The MEASURES columns that read a partner subsystem, so a one-subsystem row cannot take them.
+PARTNER_COLUMNS = frozenset({"C_nl_hs", "C_corr_hs", "C_corr_l1", "C_corr_re", "C_corr_hs_pairsum", "C_corr_l1_pairsum"})
 
 
 @dataclass(frozen=True)
@@ -300,15 +300,17 @@ def _validate_sweep(config: SweepConfig) -> None:
 def render_sweep_csv(config: SweepConfig) -> str:
     """Evaluate the sweep and render it as CSV text (LF line endings)."""
     _validate_sweep(config)
+    need_partner = not PARTNER_COLUMNS.isdisjoint(config.measures)
     lines = ["param," + ",".join(config.measures)]
     for value in np.linspace(config.start, config.stop, config.points):
         params = dict(config.fixed)
         params[config.param] = float(value)
         state = build(config.variant, **params)
         rho = density_from_pure(state) if isinstance(state, PureState) else state
-        reduced = partial_trace(rho, [config.target])
+        target = _check_target(rho, config.target, need_partner=need_partner)
+        reduced = partial_trace(rho, [target])
         measured = {
-            name: float(MEASURES[name](rho, reduced, config.target))
+            name: float(MEASURES[name](rho, reduced, target))
             for name in config.measures
             if name != "sum"
         }

@@ -84,12 +84,6 @@ class DimensionSignature:
     def __len__(self) -> int:
         return len(self.dims)
 
-    def __iter__(self):
-        return iter(self.dims)
-
-    def __getitem__(self, index: int) -> int:
-        return self.dims[index]
-
 
 def _as_signature(signature) -> DimensionSignature:
     if isinstance(signature, DimensionSignature):

@@ -196,18 +196,10 @@ def nonlocal_coherence_hs_direct(rho_full: PureState | DensityOperator, target: 
     target subsystem and on the joint index of the remaining subsystems,
     in the block form of ``_nonlocal_hs_sum``.
     """
-    return _nonlocal_coherence_hs(rho_full, target, None)
-
-
-def _nonlocal_coherence_hs(
-    rho_full: PureState | DensityOperator, target: int, reduced: np.ndarray | None
-) -> MeasureValue:
-    """nonlocal_coherence_hs_direct, reusing ``reduced`` = _reduced_matrix(rho_full, [target]) when given."""
     target = _check_target(rho_full, target, need_partner=True)
     _require_pure(rho_full, _PURE_ONLY)
-    if reduced is None:
-        reduced = _reduced_matrix(rho_full, [target])
     d_t = rho_full.signature.dims[target]
+    reduced = _reduced_matrix(rho_full, [target])
     return MeasureValue(_nonlocal_hs_sum(rho_full, target, reduced), (d_t - 1) / d_t, MeasureKind.C_NL_HS)
 
 
@@ -247,6 +239,8 @@ def correlated_coherence(
     be negative (e.g. a coherent state tensored with an incoherent mixed
     one), so the raw value is returned rather than a MeasureValue.
     """
+    if not isinstance(kind, CoherenceKind):
+        raise ValidationError(f"kind must be a CoherenceKind, got {kind!r}")
     left, right = _split_bipartition(rho_joint, bipartition)
     return _correlated_coherence(rho_joint, partial_trace(rho_joint, left), partial_trace(rho_joint, right), kind)
 
@@ -278,14 +272,9 @@ def satisfies_offdiag_conditions(
     """
     left, right = _split_bipartition(rho_full, bipartition)
     block = _block_view(rho_full, left, right)
-
-    terms_left = np.einsum("ijkj->ikj", block)
-    lhs = np.abs(terms_left.sum(axis=-1)) ** 2
-    rhs = (np.abs(terms_left) ** 2).sum(axis=-1)
-    if np.any(_offdiag_entries(np.abs(lhs - rhs)) > MEASURE_ATOL):
-        return False
-
-    terms_right = np.einsum("ijil->jli", block)
-    lhs = np.abs(terms_right.sum(axis=-1)) ** 2
-    rhs = (np.abs(terms_right) ** 2).sum(axis=-1)
-    return not np.any(_offdiag_entries(np.abs(lhs - rhs)) > MEASURE_ATOL)
+    for terms in (np.einsum("ijkj->ikj", block), np.einsum("ijil->jli", block)):
+        lhs = np.abs(terms.sum(axis=-1)) ** 2
+        rhs = (np.abs(terms) ** 2).sum(axis=-1)
+        if np.any(_offdiag_entries(np.abs(lhs - rhs)) > MEASURE_ATOL):
+            return False
+    return True

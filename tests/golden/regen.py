@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from ccrkit import ccr_inequality_gap, partial_trace, purify
-from ccrkit.cli import MEASURES, _parse_param, main, parse_state_file
+from ccrkit.cli import MEASURES, PARTNER_COLUMNS, _parse_param, main, parse_state_file
 from ccrkit.states import FACTORY_PARAMS, build, haar_random_pure
 
 HERE = Path(__file__).resolve().parent
@@ -55,8 +55,6 @@ FACTORY_POINTS = {
 }
 UNIT_PARAMS = ("w", "x", "p")  # probabilities, swept over [0, 1]; amplitudes over [-1, 1]
 SWEEP_POINTS = 21
-#: Sweep columns that need a partner subsystem, so a one-subsystem state cannot take them.
-PARTNER_COLUMNS = ("C_nl_hs", "C_corr_hs", "C_corr_l1", "C_corr_re", "C_corr_hs_pairsum", "C_corr_l1_pairsum")
 
 #: Malformed state files, each refused with its own exit-2 message.
 BAD_FILES = {

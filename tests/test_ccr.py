@@ -413,15 +413,16 @@ def test_index_partition_sum_matches_literal_oracle(dims):
 C_EXACT = 1.0
 
 
-@pytest.mark.parametrize("dims", [(2, 2, 2), (3, 2, 4), (2, 3, 2, 2)])
-def test_hs_terms_and_gap_match_the_exact_rational_oracle(dims):
+def _assert_terms_match_the_exact_oracle(dims, count, seed, targets):
+    """``count`` Haar states of each kind over ``dims`` (amplitudes, their projectors, and rank-2
+    reductions with a qubit ancilla) against ``exact_terms`` on ``targets``, within C_EXACT * D * eps."""
     bound = C_EXACT * math.prod(dims) * np.finfo(float).eps
     n = len(dims)
-    pure = list(haar_random_pure(dims, 3, seed=n))
-    mixed = [partial_trace(psi, range(n)) for psi in haar_random_pure(dims + (2,), 3, seed=n)]
+    pure = list(haar_random_pure(dims, count, seed=seed))
+    mixed = [partial_trace(psi, range(n)) for psi in haar_random_pure(dims + (2,), count, seed=seed)]
     inputs = [(state, True) for state in pure + [density_from_pure(psi) for psi in pure]]
     for state, is_pure in inputs + [(state, False) for state in mixed]:
-        for target in range(n):
+        for target in targets:
             exact = exact_terms(state, target)
             d = dims[target]
             # The oracle's own identities: the four terms add up to (d - 1)/d, and on amplitudes
@@ -436,6 +437,16 @@ def test_hs_terms_and_gap_match_the_exact_rational_oracle(dims):
                 got["C_nl"] = ccr_hs(state, target).correlation_term.value
             for name, value in got.items():
                 assert abs(Fraction(value) - exact[name]) <= bound, (name, target)
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (3, 2, 4), (2, 3, 2, 2)])
+def test_hs_terms_and_gap_match_the_exact_rational_oracle(dims):
+    _assert_terms_match_the_exact_oracle(dims, 3, len(dims), range(len(dims)))
+
+
+def test_hs_terms_and_gap_match_the_exact_rational_oracle_on_eight_qubits():
+    # D = 256: one state of each kind, on the first and the last qubit (the oracle is O(D^3) per call).
+    _assert_terms_match_the_exact_oracle((2,) * 8, 1, 8, [0, 7])
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (3, 2, 4), (2, 1, 3)])

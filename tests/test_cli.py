@@ -791,6 +791,34 @@ def test_sweep_correlation_columns_need_a_partner(measure, capsys, tmp_path):
     assert not out.exists()
 
 
+def test_sweep_partner_columns_are_the_ones_a_one_subsystem_state_refuses(capsys, tmp_path):
+    partner_columns = ccrkit.cli.PARTNER_COLUMNS
+    assert partner_columns < MEASURES.keys()
+    for name in MEASURES:
+        out = tmp_path / f"{name}.csv"
+        argv = ["sweep", "--factory", "werner", "--x", "0.6", "--param", "w", "--start", "0.5", "--stop", "1",
+                "--points", "2", "--measures", name, "--out", str(out)]
+        if name in partner_columns:
+            assert main(argv) == EXIT_INPUT, name
+            assert capsys.readouterr().err == "error: a correlation term needs at least 2 subsystems\n"
+            assert not out.exists()
+        else:
+            assert main(argv) == EXIT_OK, name
+            assert out.exists()
+
+
+@pytest.mark.parametrize("target", ["3", "-1"])
+def test_sweep_target_out_of_range_has_the_check_message(target, capsys, tmp_path):
+    out = tmp_path / "t.csv"
+    argv = ["sweep", "--factory", "w", "--param", "p", "--start", "0", "--stop", "1", "--points", "3",
+            "--measures", "P_hs", "--target", target, "--out", str(out)]
+    assert main(argv) == EXIT_INPUT
+    sweep_err = capsys.readouterr().err
+    assert main(["check", "--factory", "w", "--p", "0.5", "--flavor", "hs", "--target", target]) == EXIT_INPUT
+    assert sweep_err == capsys.readouterr().err == f"error: target subsystem {target} out of range for 3 subsystems\n"
+    assert not out.exists()
+
+
 def test_sweep_refuses_a_swept_parameter_also_fixed(capsys, tmp_path):
     out = tmp_path / "x.csv"
     argv = ["sweep", "--factory", "w", "--param", "p", "--p", "0.3", "--start", "0", "--stop", "1",

@@ -368,6 +368,13 @@ def test_correlated_rejects_bad_bipartitions():
         correlated_coherence(rho, ([], [0, 1, 2]), CoherenceKind.L1_NORM)
 
 
+@pytest.mark.parametrize("kind", ["hilbert_schmidt", None])
+def test_correlated_rejects_a_kind_that_is_not_a_coherence_kind(kind):
+    rho = density_from_pure(w_state(0.5))
+    with pytest.raises(ValidationError, match=rf"^kind must be a CoherenceKind, got {kind!r}$"):
+        correlated_coherence(rho, ([0], [1, 2]), kind)
+
+
 # ---------------------------------------------------------------------------
 # concurrence
 
