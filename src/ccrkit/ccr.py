@@ -25,6 +25,7 @@ import numpy as np
 
 from .core import (
     DensityOperator,
+    DimensionSignature,
     PureState,
     _check_target,
     _partition_blocks,
@@ -171,16 +172,16 @@ def audit(dims, count: int, seed: int, balance: Callable[[PureState, int], CCRRe
 
     Fewer than 2 subsystems, an over-cap ``dims``, a bad ``count`` or a negative ``seed`` raise before ``balance`` runs.
     """
-    dims = tuple(dims)
-    if len(dims) < 2:
-        raise ValidationError(f"CCR auditing needs at least 2 subsystems, got dims {dims}")
+    signature = DimensionSignature(dims)
+    if len(signature) < 2:
+        raise ValidationError(f"CCR auditing needs at least 2 subsystems, got dims {signature.dims}")
     # A running max and a left-to-right total, which sum() no longer is from Python 3.12 on.
     worst, max_residual, total = (0, 0), 0.0, 0.0
-    for index, psi in enumerate(haar_random_pure(dims, count, seed)):
-        for target in range(len(dims)):
+    for index, psi in enumerate(haar_random_pure(signature, count, seed)):
+        for target in range(len(signature)):
             residual = abs(balance(psi, target).residual)
             if residual > max_residual:
                 worst, max_residual = (index, target), residual
             total += residual
-    checks = count * len(dims)
+    checks = count * len(signature)
     return AuditResult(checks, max_residual, total / checks, worst)

@@ -151,7 +151,7 @@ def _read_state_doc(data: bytes) -> tuple[DimensionSignature, str, np.ndarray]:
     dims = doc["dims"]
     if not isinstance(dims, list) or not dims or not all(isinstance(d, int) and not isinstance(d, bool) for d in dims):
         raise ValidationError("dims must be a nonempty array of integers")
-    signature = DimensionSignature(tuple(dims))
+    signature = DimensionSignature(dims)
     total = signature.total
     _require_capacity(total)
     kind = doc["kind"]
@@ -379,16 +379,15 @@ def _report_to_dict(report: CCRReport) -> dict:
 
 
 def _print_report(report: CCRReport, as_json: bool) -> None:
+    doc = _report_to_dict(report)
     if as_json:
-        print(json.dumps(_report_to_dict(report), allow_nan=False))
+        print(json.dumps(doc, allow_nan=False))
         return
-    print(f"flavor    {report.flavor.value}")
-    print(f"target    {report.target}")
-    for mv in (report.predictability, report.local_coherence, report.correlation_term):
-        print(f"{mv.kind.value:<9} {mv.value!r} (bound {mv.bound!r})")
-    print(f"sum       {report.sum!r}")
-    print(f"bound     {report.bound!r}")
-    print(f"residual  {report.residual!r}")
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            print(f"{value['kind']:<9} {value['value']!r} (bound {value['bound']!r})")
+        else:
+            print(f"{key:<9} {value}")
 
 
 def cmd_check(args) -> int:

@@ -58,6 +58,13 @@ def _index(value, what: str) -> int:
     raise ValidationError(f"{what} must be an integer, got {value!r}")
 
 
+def _integers(values, what: str) -> tuple[int, ...]:
+    """Each of ``values`` read by ``_index``; a ``values`` that is not iterable raises ValidationError."""
+    if not isinstance(values, Iterable):
+        raise ValidationError(f"{what} list must be iterable, got {values!r}")
+    return tuple(_index(v, what) for v in values)
+
+
 @dataclass(frozen=True)
 class DimensionSignature:
     """Ordered subsystem dimensions (d_1, ..., d_n) of a tensor-product space.
@@ -69,7 +76,7 @@ class DimensionSignature:
     dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        dims = tuple(_index(d, "subsystem dimension") for d in self.dims)
+        dims = _integers(self.dims, "subsystem dimension")
         object.__setattr__(self, "dims", dims)
         if not dims:
             raise ValidationError("dimension signature must be nonempty")
@@ -88,7 +95,7 @@ class DimensionSignature:
 def _as_signature(signature) -> DimensionSignature:
     if isinstance(signature, DimensionSignature):
         return signature
-    return DimensionSignature(tuple(signature))
+    return DimensionSignature(signature)
 
 
 class PureState:
@@ -220,6 +227,17 @@ def _check_target(state: PureState | DensityOperator, target: int, *, need_partn
     return target
 
 
+def _subsystems(state: PureState | DensityOperator, indices) -> list[int]:
+    """``indices`` sorted and distinct; a set that is empty, out of range or not iterable raises ValidationError."""
+    n = len(state.signature.dims)
+    found = sorted(set(_integers(indices, "subsystem index")))
+    if not found:
+        raise ValidationError("subsystem index set must be nonempty")
+    if found[0] < 0 or found[-1] >= n:
+        raise ValidationError(f"subsystem index out of range for {n} subsystems: {found}")
+    return found
+
+
 def _require_pure(state: PureState | DensityOperator, hint: str) -> None:
     """Raise PreconditionError, ending with ``hint``, unless Tr rho^2 = 1.
 
@@ -298,15 +316,8 @@ def partial_trace(rho: PureState | DensityOperator, keep: Iterable[int]) -> Dens
         from ``_reduced_matrix`` without this wrapper.
     """
     dims = rho.signature.dims
-    n = len(dims)
-    keep_list = sorted({_index(k, "subsystem index") for k in keep})
-    if not keep_list:
-        raise ValidationError("keep set must be nonempty")
-    if keep_list[0] < 0 or keep_list[-1] >= n:
-        raise ValidationError(
-            f"subsystem index out of range for {n} subsystems: {keep_list}"
-        )
-    if isinstance(rho, DensityOperator) and len(keep_list) == n:
+    keep_list = _subsystems(rho, keep)
+    if isinstance(rho, DensityOperator) and len(keep_list) == len(dims):
         return rho
     kept_dims = tuple(dims[m] for m in keep_list)
     return _density_unchecked(DimensionSignature(kept_dims), _reduced_matrix(rho, keep_list))

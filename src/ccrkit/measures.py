@@ -24,10 +24,10 @@ from .core import (
     _block_view,
     _check_target,
     _entropy,
-    _index,
     _partition_blocks,
     _reduced_matrix,
     _require_pure,
+    _subsystems,
     _vn_entropy,
     linear_entropy,
     partial_trace,
@@ -204,19 +204,17 @@ def nonlocal_coherence_hs_direct(rho_full: PureState | DensityOperator, target: 
 
 
 def _split_bipartition(rho: DensityOperator, bipartition) -> tuple[list[int], list[int]]:
-    left_raw, right_raw = bipartition
-    left = sorted({_index(i, "subsystem index") for i in left_raw})
-    right = sorted({_index(i, "subsystem index") for i in right_raw})
+    try:
+        left_raw, right_raw = bipartition
+    except (TypeError, ValueError):
+        raise ValidationError(f"bipartition must be a pair of subsystem index sets, got {bipartition!r}") from None
+    left, right = _subsystems(rho, left_raw), _subsystems(rho, right_raw)
     n = len(rho.signature.dims)
-    if not left or not right:
-        raise ValidationError("both parts of the bipartition must be nonempty")
     overlap = set(left) & set(right)
     if overlap:
         raise ValidationError(f"bipartition parts overlap on subsystems {sorted(overlap)}")
     if set(left) | set(right) != set(range(n)):
-        raise ValidationError(
-            f"bipartition {left} | {right} does not cover all {n} subsystem indices"
-        )
+        raise ValidationError(f"bipartition {left} | {right} does not cover all {n} subsystem indices")
     return left, right
 
 

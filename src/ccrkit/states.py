@@ -7,6 +7,7 @@ parameters (w, x, p) must be real and lie in [0, 1].
 
 from __future__ import annotations
 
+import inspect
 import math
 from typing import Iterator
 
@@ -69,42 +70,38 @@ def werner_like(w: float, x: float) -> DensityOperator:
     return DensityOperator(DimensionSignature((2,)), matrix)
 
 
+def _basis_state(dims: tuple[int, ...], entries: dict[int, complex]) -> PureState:
+    """The PureState on ``dims`` with amplitude a at row-major index i for each i: a of ``entries``."""
+    signature = DimensionSignature(dims)
+    amps = np.zeros(signature.total, dtype=np.complex128)
+    for i, a in entries.items():
+        amps[i] = a
+    return PureState(signature, amps)
+
+
 def bipartite_x(x: float) -> PureState:
     """Two-qubit x|0,1> + sqrt(1-x^2)|1,0>."""
     x = _check_unit_interval("x", x)
-    amps = np.zeros(4, dtype=np.complex128)
-    amps[0b01] = x
-    amps[0b10] = math.sqrt(1.0 - x * x)
-    return PureState(DimensionSignature((2, 2)), amps)
+    return _basis_state((2, 2), {0b01: x, 0b10: math.sqrt(1.0 - x * x)})
 
 
 def qutrit_jb(x: float) -> PureState:
     """Two-qutrit (x/sqrt2)|0,0> + (x/sqrt2)|1,1> + sqrt(1-x^2)|2,2>."""
     x = _check_unit_interval("x", x)
-    amps = np.zeros(9, dtype=np.complex128)
-    amps[0 * 3 + 0] = x / math.sqrt(2.0)
-    amps[1 * 3 + 1] = x / math.sqrt(2.0)
-    amps[2 * 3 + 2] = math.sqrt(1.0 - x * x)
-    return PureState(DimensionSignature((3, 3)), amps)
+    a = x / math.sqrt(2.0)
+    return _basis_state((3, 3), {0 * 3 + 0: a, 1 * 3 + 1: a, 2 * 3 + 2: math.sqrt(1.0 - x * x)})
 
 
 def ghz(a000: complex, a111: complex) -> PureState:
     """Three-qubit a000|0,0,0> + a111|1,1,1>, normalized at construction."""
     pair = _normalized(np.array([a000, a111], dtype=np.complex128))
-    amps = np.zeros(8, dtype=np.complex128)
-    amps[0b000] = pair[0]
-    amps[0b111] = pair[1]
-    return PureState(DimensionSignature((2, 2, 2)), amps)
+    return _basis_state((2, 2, 2), dict(zip((0b000, 0b111), pair)))
 
 
 def w_state(p: float) -> PureState:
     """Three-qubit sqrt(1-p)|0,0,1> + sqrt(p/2)|0,1,0> + sqrt(p/2)|1,0,0>."""
     p = _check_unit_interval("p", p)
-    amps = np.zeros(8, dtype=np.complex128)
-    amps[0b001] = math.sqrt(1.0 - p)
-    amps[0b010] = math.sqrt(p / 2.0)
-    amps[0b100] = math.sqrt(p / 2.0)
-    return PureState(DimensionSignature((2, 2, 2)), amps)
+    return _basis_state((2, 2, 2), {0b001: math.sqrt(1.0 - p), 0b010: math.sqrt(p / 2.0), 0b100: math.sqrt(p / 2.0)})
 
 
 def five_term(lambda1, lambda2, lambda3, lambda4, lambda5) -> PureState:
@@ -113,14 +110,9 @@ def five_term(lambda1, lambda2, lambda3, lambda4, lambda5) -> PureState:
     Coefficients are real (the family is defined up to global phase) and are
     normalized at construction.
     """
-    lam = np.array(
-        [_check_real(f"lambda{i + 1}", v) for i, v in enumerate((lambda1, lambda2, lambda3, lambda4, lambda5))],
-        dtype=np.complex128,
-    )
-    lam = _normalized(lam)
-    amps = np.zeros(8, dtype=np.complex128)
-    amps[0b000], amps[0b001], amps[0b010], amps[0b100], amps[0b111] = lam
-    return PureState(DimensionSignature((2, 2, 2)), amps)
+    lam = [_check_real(f"lambda{i}", v) for i, v in enumerate((lambda1, lambda2, lambda3, lambda4, lambda5), 1)]
+    lam = _normalized(np.array(lam, dtype=np.complex128))
+    return _basis_state((2, 2, 2), dict(zip((0b000, 0b001, 0b010, 0b100, 0b111), lam)))
 
 
 def acin(lambda1, lambda2, lambda3, lambda4) -> PureState:
@@ -130,40 +122,37 @@ def acin(lambda1, lambda2, lambda3, lambda4) -> PureState:
     coherence of this family) and are normalized at construction.
     """
     lam = _normalized(np.array([lambda1, lambda2, lambda3, lambda4], dtype=np.complex128))
-    amps = np.zeros(8, dtype=np.complex128)
-    amps[0b000], amps[0b011], amps[0b100], amps[0b111] = lam
-    return PureState(DimensionSignature((2, 2, 2)), amps)
+    return _basis_state((2, 2, 2), dict(zip((0b000, 0b011, 0b100, 0b111), lam)))
 
 
 _FACTORIES = {
-    "werner": (werner_like, ("w", "x")),
-    "bipartite-x": (bipartite_x, ("x",)),
-    "qutrit-jb": (qutrit_jb, ("x",)),
-    "ghz": (ghz, ("a000", "a111")),
-    "w": (w_state, ("p",)),
-    "five-term": (five_term, ("lambda1", "lambda2", "lambda3", "lambda4", "lambda5")),
-    "acin": (acin, ("lambda1", "lambda2", "lambda3", "lambda4")),
+    "werner": werner_like,
+    "bipartite-x": bipartite_x,
+    "qutrit-jb": qutrit_jb,
+    "ghz": ghz,
+    "w": w_state,
+    "five-term": five_term,
+    "acin": acin,
 }
 
-#: Parameter names accepted by each factory variant, keyed by CLI name; the CLI
-#: makes one flag per name and passes the given ones to ``build``.
-FACTORY_PARAMS = {name: params for name, (_, params) in _FACTORIES.items()}
+#: Parameter names accepted by each factory variant, keyed by CLI name and read
+#: from the factory's own signature; the CLI makes one flag per name and passes
+#: the given ones to ``build``.
+FACTORY_PARAMS = {name: tuple(inspect.signature(factory).parameters) for name, factory in _FACTORIES.items()}
 
 
 def build(variant: str, **params) -> PureState | DensityOperator:
     """Build a named example state; see FACTORY_PARAMS for expected parameters."""
     if variant not in _FACTORIES:
-        raise ValidationError(
-            f"unknown state variant {variant!r}; expected one of {sorted(_FACTORIES)}"
-        )
-    factory, names = _FACTORIES[variant]
+        raise ValidationError(f"unknown state variant {variant!r}; expected one of {sorted(_FACTORIES)}")
+    names = FACTORY_PARAMS[variant]
     missing = [name for name in names if name not in params]
     if missing:
         raise ValidationError(f"variant {variant!r} is missing parameters {missing}")
     extra = sorted(set(params) - set(names))
     if extra:
         raise ValidationError(f"variant {variant!r} got unexpected parameters {extra}")
-    return factory(*(params[name] for name in names))
+    return _FACTORIES[variant](**params)
 
 
 def haar_random_pure(signature, count: int, seed: int) -> Iterator[PureState]:

@@ -12,7 +12,10 @@ wrote none.  Commands name their files by relative path, so they run in a
 directory that ``stage`` has filled with ``inputs/`` and the malformed
 state files of ``BAD_FILES``.  The ``library`` section holds what the CLI
 cannot print: for each state of ``library_states``, the ``repr`` of the
-inequality gap on every target and the amplitudes of its purification.
+inequality gap on every target and the amplitudes of its purification.  The
+``factories`` section holds, for each pure family at its ``FACTORY_POINTS``
+point, the ``repr`` of every amplitude's real and imaginary part, so that a
+flipped sign of zero shows too.
 Regenerate only in a change whose CHANGES.md entry lists which outputs
 moved and why.
 """
@@ -29,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ccrkit import ccr_inequality_gap, partial_trace, purify
+from ccrkit import PureState, ccr_inequality_gap, partial_trace, purify
 from ccrkit.cli import MEASURES, PARTNER_COLUMNS, _parse_param, main, parse_state_file
 from ccrkit.states import FACTORY_PARAMS, build, haar_random_pure
 
@@ -118,10 +121,14 @@ BAD_COMMANDS = [
 ]
 
 
+def at_point(factory: str):
+    """``factory``'s state at its ``FACTORY_POINTS`` point."""
+    return build(factory, **{name: _parse_param(name, text) for name, text in FACTORY_POINTS[factory].items()})
+
+
 def subsystems(factory: str) -> int:
     """The number of subsystems of ``factory``'s state at its ``FACTORY_POINTS`` point."""
-    params = {name: _parse_param(name, text) for name, text in FACTORY_POINTS[factory].items()}
-    return len(build(factory, **params).signature.dims)
+    return len(at_point(factory).signature.dims)
 
 
 def _flags(values: dict) -> list[str]:
@@ -228,6 +235,16 @@ def library() -> list[dict]:
     ]
 
 
+def factories() -> dict:
+    """Per pure family: its amplitudes at its ``FACTORY_POINTS`` point as [repr(re), repr(im)] pairs."""
+    states = {factory: at_point(factory) for factory in FACTORY_POINTS}
+    return {
+        factory: [[repr(re), repr(im)] for re, im in _pairs(state.amplitudes)]
+        for factory, state in states.items()
+        if isinstance(state, PureState)
+    }
+
+
 def write_inputs() -> None:
     """The README's bell.json, a Haar (3, 2, 4) pure state and a mixed (2, 3) density."""
     INPUTS.mkdir(exist_ok=True)
@@ -250,10 +267,11 @@ def main_regen() -> None:
             commands = [run(argv) for argv in BATTERY]
         finally:
             os.chdir(cwd)
-    doc = {"numpy": np.__version__, "python": sys.version.split()[0], "commands": commands, "library": library()}
+    doc = {"numpy": np.__version__, "python": sys.version.split()[0], "commands": commands, "library": library(),
+           "factories": factories()}
     GOLDEN.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {len(commands)} commands and {len(doc['library'])} library states to "
-          f"{GOLDEN.relative_to(HERE.parents[1])}")
+    print(f"wrote {len(commands)} commands, {len(doc['library'])} library states and "
+          f"{len(doc['factories'])} factory states to {GOLDEN.relative_to(HERE.parents[1])}")
 
 
 if __name__ == "__main__":

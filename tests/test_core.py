@@ -16,6 +16,7 @@ from ccrkit import (
     NumericError,
     PureState,
     ValidationError,
+    audit,
     ccr_hs,
     correlated_coherence,
     density_from_pure,
@@ -25,6 +26,7 @@ from ccrkit import (
     partial_trace,
     purify,
     purity,
+    satisfies_offdiag_conditions,
     tensor_product,
     von_neumann_entropy,
 )
@@ -297,6 +299,32 @@ def test_integer_inputs_refuse_non_integers(entry, bad):
 @pytest.mark.parametrize("entry", INTEGER_INPUTS)
 def test_integer_inputs_accept_numpy_integers(entry):
     assert INTEGER_INPUTS[entry](np.int64(ACCEPTED[entry])) == INTEGER_INPUTS[entry](ACCEPTED[entry])
+
+
+def _w_density():
+    return density_from_pure(w_state(0.5))
+
+
+#: Library calls whose set, pair or signature argument has the wrong structure.
+MALFORMED_STRUCTURE = {
+    "keep-int": lambda: partial_trace(_w_density(), 0),
+    "keep-none": lambda: partial_trace(w_state(0.5), None),
+    "bipartition-int-part": lambda: correlated_coherence(_w_density(), (0, [1, 2]), CoherenceKind.L1_NORM),
+    "bipartition-three-parts": lambda: correlated_coherence(_w_density(), ([0], [1], [2]), CoherenceKind.L1_NORM),
+    "bipartition-one-part": lambda: correlated_coherence(_w_density(), ([0],), CoherenceKind.L1_NORM),
+    "bipartition-none": lambda: correlated_coherence(_w_density(), None, CoherenceKind.L1_NORM),
+    "offdiag-three-parts": lambda: satisfies_offdiag_conditions(_w_density(), ([0], [1], [2])),
+    "pure-int-signature": lambda: PureState(2, [1, 0]),
+    "density-int-signature": lambda: DensityOperator(2, np.eye(2) / 2),
+    "signature-int": lambda: DimensionSignature(2),
+    "audit-int-dims": lambda: audit(2, 1, 0, ccr_hs),
+}
+
+
+@pytest.mark.parametrize("call", MALFORMED_STRUCTURE.values(), ids=MALFORMED_STRUCTURE)
+def test_malformed_structure_raises_validation_error(call):
+    with pytest.raises(ValidationError):
+        call()
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ the numpy version that made the golden file, exit code, stdout, stderr and
 the CSV a sweep wrote must match byte for byte.  Under another version,
 exit codes and the text of every line must still match exactly, and every
 number to 1e-12.  The library part (the inequality gap on every target and
-the ``purify`` amplitudes of three mixed states) follows the same rule.
+the ``purify`` amplitudes of three mixed states) and the amplitudes of every
+pure factory state at its ``check`` point follow the same rule.
 """
 
 import json
@@ -56,17 +57,29 @@ def test_battery_matches_golden(tmp_path, monkeypatch):
                 assert roundoff_mismatch(got[stream], want[stream]) is None, (want["argv"], stream, versions)
 
 
+def assert_numbers_match(got, want, where):
+    """Under the golden numpy, ``got == want``; under another, equal shapes and every number within ``ATOL``."""
+    if GOLDEN["numpy"] == np.__version__:
+        assert got == want, where
+        return
+    a, b = np.array(got, dtype=float), np.array(want, dtype=float)
+    assert a.shape == b.shape, where
+    assert np.abs(a - b).max() <= ATOL, (where, f"golden numpy {GOLDEN['numpy']}")
+
+
 def test_library_values_match_golden():
     got, want = regen.library(), GOLDEN["library"]
-    assert [e["state"] for e in got] == [e["state"] for e in want]
-    if GOLDEN["numpy"] == np.__version__:
-        assert got == want
-        return
+    assert [(e["state"], e.keys()) for e in got] == [(e["state"], e.keys()) for e in want]
     for g, w in zip(got, want):
         for key in ("gaps", "purify"):
-            a, b = np.array(g[key], dtype=float), np.array(w[key], dtype=float)
-            assert a.shape == b.shape, (w["state"], key)
-            assert np.abs(a - b).max() <= ATOL, (w["state"], key, f"golden numpy {GOLDEN['numpy']}")
+            assert_numbers_match(g[key], w[key], (w["state"], key))
+
+
+def test_factory_amplitudes_match_golden():
+    got, want = regen.factories(), GOLDEN["factories"]
+    assert list(got) == list(want) == [f for f in FACTORY_PARAMS if f != "werner"]
+    for factory in want:
+        assert_numbers_match(got[factory], want[factory], factory)
 
 
 def _value(argv, flag):

@@ -366,6 +366,8 @@ def test_correlated_rejects_bad_bipartitions():
         correlated_coherence(rho, ([0], [1]), CoherenceKind.L1_NORM)
     with pytest.raises(ValidationError, match="nonempty"):
         correlated_coherence(rho, ([], [0, 1, 2]), CoherenceKind.L1_NORM)
+    with pytest.raises(ValidationError, match=r"^subsystem index out of range for 3 subsystems: \[1, 2, 5\]$"):
+        correlated_coherence(rho, ([0], [1, 2, 5]), CoherenceKind.L1_NORM)
 
 
 @pytest.mark.parametrize("kind", ["hilbert_schmidt", None])
