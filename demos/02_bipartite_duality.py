@@ -14,9 +14,9 @@ import math
 import numpy as np
 
 from ccrkit import (
-    CoherenceKind,
     ccr_hs,
     ccr_vn,
+    coherence_l1,
     correlated_coherence,
     density_from_pure,
     nonlocal_coherence_hs_direct,
@@ -37,7 +37,7 @@ for x in np.linspace(0, 1, 11):
     p_vn = predictability_vn(reduced).value
     s_vn = von_neumann_entropy(reduced)
     p_l1 = predictability_l1(reduced).value
-    cc_l1 = correlated_coherence(rho, ([0], [1]), CoherenceKind.L1_NORM)
+    cc_l1 = correlated_coherence(rho, ([0], [1]), coherence_l1)
     print(f"{x:>5.2f} {p_hs:>8.4f} {c_nl:>8.4f} | {p_vn:>8.4f} {s_vn:>8.4f} | {p_l1:>8.4f} {cc_l1:>8.4f}")
 
 print()

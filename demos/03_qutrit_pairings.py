@@ -14,7 +14,7 @@ function of the other.
 import numpy as np
 
 from ccrkit import (
-    CoherenceKind,
+    coherence_l1,
     concurrence_generalized,
     correlated_coherence,
     density_from_pure,
@@ -32,7 +32,7 @@ for x in np.linspace(0, 1, 11):
     p_sq = 2 * predictability_hs(reduced).value
     c_sq = concurrence_generalized(reduced).value ** 2
     p_l1 = predictability_l1(reduced).value
-    cc_l1 = correlated_coherence(rho, ([0], [1]), CoherenceKind.L1_NORM)
+    cc_l1 = correlated_coherence(rho, ([0], [1]), coherence_l1)
     print(
         f"{x:>5.2f} {p_sq:>8.4f} {c_sq:>8.4f} {p_sq + c_sq:>8.4f} | "
         f"{p_l1:>8.4f} {cc_l1:>8.4f} {p_l1 + cc_l1:>8.4f}"

@@ -14,9 +14,9 @@ Four stories:
 import numpy as np
 
 from ccrkit import (
-    CoherenceKind,
     ccr_hs,
     coherence_hs,
+    coherence_l1,
     correlated_coherence,
     density_from_pure,
     nonlocal_coherence_hs_direct,
@@ -44,10 +44,10 @@ for p in np.linspace(0, 1, 6):
     pairs = []
     for other in (1, 2):
         pair = partial_trace(rho, [0, other])
-        pairs.append(correlated_coherence(pair, ([0], [1]), CoherenceKind.HILBERT_SCHMIDT))
+        pairs.append(correlated_coherence(pair, ([0], [1]), coherence_hs))
     p_hs = predictability_hs(reduced).value
     l1_total = predictability_l1(reduced).value + correlated_coherence(
-        rho, ([0], [1, 2]), CoherenceKind.L1_NORM
+        rho, ([0], [1, 2]), coherence_l1
     )
     print(f"{p:>5.2f} {p_hs:>8.4f} {pairs[0]:>11.4f} {pairs[1]:>11.4f} "
           f"{p_hs + sum(pairs):>8.4f} | {l1_total:>13.4f}")
@@ -63,7 +63,7 @@ print("  off-diagonal conditions on A|BC:", satisfies_offdiag_conditions(rho, ([
 report = ccr_hs(rho, 0)
 print(f"  P = {report.predictability.value:.6f}  C = {report.local_coherence.value:.6f}  "
       f"C_nl = {report.correlation_term.value:.6f}  sum = {report.sum:.12f}")
-decomposed = correlated_coherence(rho, ([0], [1, 2]), CoherenceKind.HILBERT_SCHMIDT)
+decomposed = correlated_coherence(rho, ([0], [1, 2]), coherence_hs)
 print(f"  Cc_hs(A | BC) = {decomposed:.6f} equals C_nl here")
 
 print()
@@ -74,7 +74,7 @@ rho = density_from_pure(psi)
 print("  off-diagonal conditions on A|BC:", satisfies_offdiag_conditions(rho, ([0], [1, 2])))
 reduced = partial_trace(rho, [0])
 nl = nonlocal_coherence_hs_direct(rho, 0).value
-cc = correlated_coherence(rho, ([0], [1, 2]), CoherenceKind.HILBERT_SCHMIDT)
+cc = correlated_coherence(rho, ([0], [1, 2]), coherence_hs)
 print(f"  C_nl = {nl:.6f} but Cc_hs(A | BC) = {cc:.6f}: they differ when the conditions fail")
 total = predictability_hs(reduced).value + coherence_hs(reduced).value + nl
 print(f"  the balance still closes: P + C + C_nl = {total:.12f}")

@@ -27,9 +27,12 @@ measure that comes out NaN or infinite).
 neither builds the D x D density |psi><psi| for pure input.  ``audit``
 checks its flags and prints the ``AuditResult`` of ``ccr.audit``, which
 draws the states and runs the balance.  ``sweep`` checks each row's target,
-and its partner when a column needs one, with ``check``'s messages; it makes
-one ``partial_trace`` per row and passes that to every column, and ``C_nl_hs``
-reads the public measure.
+and its partner when a column needs one, with ``check``'s messages.  It
+reduces each row onto the target once and passes that reduction to every
+column; the partner columns reduce again.  Each ``C_corr_*`` column reduces
+onto the rest, each ``*_pairsum`` column makes three reductions per partner
+(the pair, then its two halves), and ``C_nl_hs`` reads the public measure,
+which makes its own reduction onto the target.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ import math
 import re
 import sys
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -63,7 +65,6 @@ from .core import (
 )
 from .errors import CapacityError, NumericError, PreconditionError, ValidationError
 from .measures import (
-    CoherenceKind,
     coherence_hs,
     coherence_l1,
     coherence_re,
@@ -210,24 +211,27 @@ def _others(rho: DensityOperator, target: int) -> list[int]:
     return [m for m in range(len(rho.signature.dims)) if m != target]
 
 
-def _corr_rest(kind: CoherenceKind, rho, reduced, target: int) -> float:
-    return _correlated_coherence(rho, reduced, partial_trace(rho, _others(rho, target)), kind)
+def _corr_rest(coherence, rho, reduced, target: int) -> float:
+    return _correlated_coherence(rho, reduced, partial_trace(rho, _others(rho, target)), coherence)
 
 
-def _corr_pairsum(kind: CoherenceKind, rho, reduced, target: int) -> float:
+def _corr_pairsum(coherence, rho, reduced, target: int) -> float:
     total = 0.0
     for m in _others(rho, target):
         pair = partial_trace(rho, [target, m])
         pos = 0 if target < m else 1
-        total += correlated_coherence(pair, ([pos], [1 - pos]), kind)
+        total += correlated_coherence(pair, ([pos], [1 - pos]), coherence)
     return total
 
 
 #: Measures addressable by name in sweep CSV columns, called as (rho, reduced, target)
-#: with a target that ``render_sweep_csv`` has checked and the row's one reduction
-#: partial_trace(rho, [target]).  Only the PARTNER_COLUMNS also read ``rho``: C_nl_hs is
-#: the public measure, and C_corr_hs, C_corr_l1 and C_corr_re take ``reduced`` as their
-#: target side.  "sum" totals the other columns.
+#: with a target that ``render_sweep_csv`` has checked and the row's shared reduction
+#: partial_trace(rho, [target]).  Only the PARTNER_COLUMNS also read ``rho``, and each
+#: reduces it again: C_nl_hs is the public measure, which reduces onto the target itself;
+#: C_corr_hs, C_corr_l1 and C_corr_re take ``reduced`` as their target side and reduce
+#: onto the rest; a pairsum column reduces onto each pair and the pair onto its halves.
+#: A C_corr_* column looks its coherence function up when it runs, so a wrapper put on
+#: that name after import sees every call.  "sum" totals the other columns.
 MEASURES = {
     "P_hs": lambda rho, r, t: predictability_hs(r).value,
     "P_vn": lambda rho, r, t: predictability_vn(r).value,
@@ -239,11 +243,11 @@ MEASURES = {
     "S_l": lambda rho, r, t: linear_entropy(r),
     "purity": lambda rho, r, t: purity(r),
     "C_nl_hs": lambda rho, r, t: nonlocal_coherence_hs_direct(rho, t).value,
-    "C_corr_hs": partial(_corr_rest, CoherenceKind.HILBERT_SCHMIDT),
-    "C_corr_l1": partial(_corr_rest, CoherenceKind.L1_NORM),
-    "C_corr_re": partial(_corr_rest, CoherenceKind.RELATIVE_ENTROPY),
-    "C_corr_hs_pairsum": partial(_corr_pairsum, CoherenceKind.HILBERT_SCHMIDT),
-    "C_corr_l1_pairsum": partial(_corr_pairsum, CoherenceKind.L1_NORM),
+    "C_corr_hs": lambda rho, r, t: _corr_rest(coherence_hs, rho, r, t),
+    "C_corr_l1": lambda rho, r, t: _corr_rest(coherence_l1, rho, r, t),
+    "C_corr_re": lambda rho, r, t: _corr_rest(coherence_re, rho, r, t),
+    "C_corr_hs_pairsum": lambda rho, r, t: _corr_pairsum(coherence_hs, rho, r, t),
+    "C_corr_l1_pairsum": lambda rho, r, t: _corr_pairsum(coherence_l1, rho, r, t),
     "P_jb_sq": lambda rho, r, t: 2.0 * predictability_hs(r).value,
     "C_jb_sq": lambda rho, r, t: 2.0 * linear_entropy(r),
     "concurrence": lambda rho, r, t: concurrence_generalized(r).value,

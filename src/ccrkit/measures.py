@@ -36,7 +36,6 @@ from .errors import NumericError, ValidationError
 
 __all__ = [
     "MeasureKind",
-    "CoherenceKind",
     "MeasureValue",
     "predictability_hs",
     "predictability_vn",
@@ -66,12 +65,6 @@ class MeasureKind(enum.Enum):
     # Entropy terms that close the balances in CCR reports.
     S_VN = "S_vn"
     S_L = "S_l"
-
-
-class CoherenceKind(enum.Enum):
-    HILBERT_SCHMIDT = "hilbert_schmidt"
-    RELATIVE_ENTROPY = "relative_entropy"
-    L1_NORM = "l1_norm"
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -218,37 +211,34 @@ def _split_bipartition(rho: DensityOperator, bipartition) -> tuple[list[int], li
     return left, right
 
 
-_COHERENCE_BY_KIND: dict[CoherenceKind, Callable[[DensityOperator], float]] = {
-    CoherenceKind.HILBERT_SCHMIDT: lambda rho: coherence_hs(rho).value,
-    CoherenceKind.L1_NORM: lambda rho: coherence_l1(rho).value,
-    CoherenceKind.RELATIVE_ENTROPY: lambda rho: coherence_re(rho).value,
-}
-
-
 def correlated_coherence(
     rho_joint: DensityOperator,
     bipartition: tuple[Iterable[int], Iterable[int]],
-    kind: CoherenceKind,
+    coherence: Callable[[DensityOperator], MeasureValue],
 ) -> float:
-    """C(rho_joint) - C(rho_left) - C(rho_right) for the chosen coherence measure.
+    """C(rho_joint) - C(rho_left) - C(rho_right), C the coherence function passed.
 
-    The l1 form is non-negative for every bipartite state, and the
-    relative-entropy form vanishes on products; the Hilbert-Schmidt form can
-    be negative (e.g. a coherent state tensored with an incoherent mixed
-    one), so the raw value is returned rather than a MeasureValue.
+    ``coherence`` is the measure itself, ``coherence_hs``, ``coherence_l1`` or
+    ``coherence_re``, passed the way ``ccr.audit`` takes its balance.  The l1
+    form is non-negative for every bipartite state, and the relative-entropy
+    form vanishes on products; the Hilbert-Schmidt form can be negative (e.g.
+    a coherent state tensored with an incoherent mixed one), so the raw value
+    is returned rather than a MeasureValue.
     """
-    if not isinstance(kind, CoherenceKind):
-        raise ValidationError(f"kind must be a CoherenceKind, got {kind!r}")
+    if not callable(coherence):
+        raise ValidationError(f"coherence must be coherence_hs, coherence_l1 or coherence_re, got {coherence!r}")
     left, right = _split_bipartition(rho_joint, bipartition)
-    return _correlated_coherence(rho_joint, partial_trace(rho_joint, left), partial_trace(rho_joint, right), kind)
+    return _correlated_coherence(rho_joint, partial_trace(rho_joint, left), partial_trace(rho_joint, right), coherence)
 
 
 def _correlated_coherence(
-    joint: DensityOperator, left_rho: DensityOperator, right_rho: DensityOperator, kind: CoherenceKind
+    joint: DensityOperator,
+    left_rho: DensityOperator,
+    right_rho: DensityOperator,
+    coherence: Callable[[DensityOperator], MeasureValue],
 ) -> float:
     """correlated_coherence given the two reductions of ``joint``, for callers that already hold them."""
-    coherence = _COHERENCE_BY_KIND[kind]
-    return coherence(joint) - coherence(left_rho) - coherence(right_rho)
+    return coherence(joint).value - coherence(left_rho).value - coherence(right_rho).value
 
 
 def concurrence_generalized(rho_reduced: DensityOperator) -> MeasureValue:

@@ -13,12 +13,12 @@ import pytest
 from helpers import nonlocal_coherence_hs_via_entropy, random_density_matrix, xlogx
 
 from ccrkit import (
-    CoherenceKind,
     DensityOperator,
     ccr_hs,
     ccr_mixedness,
     ccr_vn,
     coherence_hs,
+    coherence_l1,
     concurrence_generalized,
     correlated_coherence,
     density_from_pure,
@@ -62,7 +62,7 @@ def test_criterion_1_bipartite_x_family_closed_forms():
         for x in np.linspace(0.0, 1.0, 101):
             rho = density_from_pure(bipartite_x(x))
             reduced = partial_trace(rho, [0])
-            c_corr_l1 = correlated_coherence(rho, ([0], [1]), CoherenceKind.L1_NORM)
+            c_corr_l1 = correlated_coherence(rho, ([0], [1]), coherence_l1)
             assert abs(c_corr_l1 - 2 * x * math.sqrt(1 - x * x)) < 1e-10
             assert abs(predictability_l1(reduced).value - (1 - 2 * x * math.sqrt(1 - x * x))) < 1e-10
             assert abs(nonlocal_coherence_hs_direct(rho, 0).value - 2 * x * x * (1 - x * x)) < 1e-10
@@ -84,7 +84,7 @@ def test_criterion_2_qutrit_family_two_constant_pairings():
             c_sq = concurrence_generalized(reduced).value ** 2
             assert abs(p_sq + c_sq - 4 / 3) < 1e-10
             total = predictability_l1(reduced).value + correlated_coherence(
-                rho, ([0], [1]), CoherenceKind.L1_NORM
+                rho, ([0], [1]), coherence_l1
             )
             assert abs(total - 2.0) < 1e-10
 
@@ -110,7 +110,7 @@ def test_criterion_4_w_state_pairwise_balance():
             pair_total = 0.0
             for other in (1, 2):
                 pair = partial_trace(rho, [0, other])
-                pair_total += correlated_coherence(pair, ([0], [1]), CoherenceKind.HILBERT_SCHMIDT)
+                pair_total += correlated_coherence(pair, ([0], [1]), coherence_hs)
             total = predictability_hs(reduced).value + pair_total
             assert abs(total - 0.5) < 1e-10
 
@@ -196,13 +196,13 @@ def test_criterion_8_negative_results():
             rho = density_from_pure(w_state(p))
             sums.append(
                 predictability_l1(partial_trace(rho, [0])).value
-                + correlated_coherence(rho, ([0], [1, 2]), CoherenceKind.L1_NORM)
+                + correlated_coherence(rho, ([0], [1, 2]), coherence_l1)
             )
         assert max(sums) - min(sums) > 1e-3
         plus = DensityOperator((2,), np.full((2, 2), 0.5))
         mixed = DensityOperator((2,), np.eye(2) / 2)
         joint = tensor_product([plus, mixed])
-        negative = correlated_coherence(joint, ([0], [1]), CoherenceKind.HILBERT_SCHMIDT)
+        negative = correlated_coherence(joint, ([0], [1]), coherence_hs)
         assert negative < 0
         assert abs(negative - (-0.25)) < 1e-12
 

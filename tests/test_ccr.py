@@ -25,7 +25,6 @@ from ccrkit import (
     CapacityError,
     CCRFlavor,
     CCRReport,
-    CoherenceKind,
     DensityOperator,
     MeasureKind,
     MeasureValue,
@@ -38,6 +37,7 @@ from ccrkit import (
     ccr_mixedness,
     ccr_vn,
     coherence_hs,
+    coherence_l1,
     coherence_re,
     concurrence_generalized,
     correlated_coherence,
@@ -505,7 +505,7 @@ def test_qutrit_l1_pairing_is_constant():
     for x in np.linspace(0, 1, 101):
         rho = density_from_pure(qutrit_jb(x))
         total = predictability_l1(partial_trace(rho, [0])).value + correlated_coherence(
-            rho, ([0], [1]), CoherenceKind.L1_NORM
+            rho, ([0], [1]), coherence_l1
         )
         assert abs(total - 2.0) < 1e-10
 
@@ -516,6 +516,6 @@ def test_w_state_l1_pairing_is_not_constant():
         rho = density_from_pure(w_state(p))
         sums.append(
             predictability_l1(partial_trace(rho, [0])).value
-            + correlated_coherence(rho, ([0], [1, 2]), CoherenceKind.L1_NORM)
+            + correlated_coherence(rho, ([0], [1, 2]), coherence_l1)
         )
     assert max(sums) - min(sums) > 1e-3

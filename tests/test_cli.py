@@ -756,6 +756,34 @@ def test_sweep_reduces_once_per_row(tmp_path, monkeypatch):
     assert calls == [[1], [0]] * 5
 
 
+def test_sweep_looks_up_the_coherence_functions_when_a_column_runs(tmp_path, monkeypatch):
+    # A C_corr_* column reaches its coherence through the cli name at call time, so a
+    # wrapper put there (a counter here, a tracer elsewhere) sees every call.
+    calls = {"coherence_l1": 0, "coherence_hs": 0}
+
+    def counted(name):
+        coherence = getattr(ccrkit.cli, name)
+
+        def counting(rho):
+            calls[name] += 1
+            return coherence(rho)
+
+        return counting
+
+    for name in calls:
+        monkeypatch.setattr(ccrkit.cli, name, counted(name))
+    code = main(
+        [
+            "sweep", "--factory", "w", "--param", "p", "--start", "0", "--stop", "1",
+            "--points", "3", "--measures", "C_corr_l1,C_corr_hs_pairsum", "--target", "0",
+            "--out", str(tmp_path / "w.csv"),
+        ]
+    )
+    assert code == EXIT_OK
+    # Per row: joint, target and rest for C_corr_l1; joint and both halves of each of two pairs.
+    assert calls == {"coherence_l1": 9, "coherence_hs": 18}
+
+
 def test_sweep_nonlocal_column_checks_like_the_public_measure(capsys, tmp_path):
     psi = density_from_pure(acin(0.5, 0.3j, -0.4, 0.2 + 0.1j))
     for target in range(3):

@@ -10,7 +10,6 @@ from helpers import brute_partial_trace, dephased, random_density_matrix, random
 import ccrkit.core
 from ccrkit import (
     CapacityError,
-    CoherenceKind,
     DensityOperator,
     DimensionSignature,
     NumericError,
@@ -18,6 +17,7 @@ from ccrkit import (
     ValidationError,
     audit,
     ccr_hs,
+    coherence_l1,
     correlated_coherence,
     density_from_pure,
     haar_random_pure,
@@ -280,7 +280,7 @@ INTEGER_INPUTS = {
     "target": lambda value: ccr_hs(w_state(0.5), value).residual,
     "keep": lambda value: partial_trace(w_state(0.5), [value]).matrix.tolist(),
     "bipartition": lambda value: correlated_coherence(
-        partial_trace(w_state(0.5), [0, 1]), ([value], [1]), CoherenceKind.L1_NORM
+        partial_trace(w_state(0.5), [0, 1]), ([value], [1]), coherence_l1
     ),
     "dims": lambda value: DimensionSignature((2, value)),
     "count": lambda value: next(haar_random_pure((2, 2), value, 1)).amplitudes.tolist(),
@@ -309,10 +309,10 @@ def _w_density():
 MALFORMED_STRUCTURE = {
     "keep-int": lambda: partial_trace(_w_density(), 0),
     "keep-none": lambda: partial_trace(w_state(0.5), None),
-    "bipartition-int-part": lambda: correlated_coherence(_w_density(), (0, [1, 2]), CoherenceKind.L1_NORM),
-    "bipartition-three-parts": lambda: correlated_coherence(_w_density(), ([0], [1], [2]), CoherenceKind.L1_NORM),
-    "bipartition-one-part": lambda: correlated_coherence(_w_density(), ([0],), CoherenceKind.L1_NORM),
-    "bipartition-none": lambda: correlated_coherence(_w_density(), None, CoherenceKind.L1_NORM),
+    "bipartition-int-part": lambda: correlated_coherence(_w_density(), (0, [1, 2]), coherence_l1),
+    "bipartition-three-parts": lambda: correlated_coherence(_w_density(), ([0], [1], [2]), coherence_l1),
+    "bipartition-one-part": lambda: correlated_coherence(_w_density(), ([0],), coherence_l1),
+    "bipartition-none": lambda: correlated_coherence(_w_density(), None, coherence_l1),
     "offdiag-three-parts": lambda: satisfies_offdiag_conditions(_w_density(), ([0], [1], [2])),
     "pure-int-signature": lambda: PureState(2, [1, 0]),
     "density-int-signature": lambda: DensityOperator(2, np.eye(2) / 2),

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from helpers import brute_offdiag_defect, dephased, nonlocal_coherence_hs_via_en
 
 import ccrkit.measures
 from ccrkit import (
-    CoherenceKind,
     DensityOperator,
     MeasureKind,
     MeasureValue,
@@ -162,7 +162,7 @@ def test_coherence_l1_qutrit_global_minus_local():
     x = 0.55
     rho = density_from_pure(qutrit_jb(x))
     expected = 2 * (x * x / 2 + math.sqrt(2 * x * x * (1 - x * x)))
-    got = correlated_coherence(rho, ([0], [1]), CoherenceKind.L1_NORM)
+    got = correlated_coherence(rho, ([0], [1]), coherence_l1)
     assert got == pytest.approx(expected, abs=1e-12)
 
 
@@ -305,12 +305,12 @@ def test_all_measures_within_bounds_on_random_inputs():
 def test_correlated_l1_x_state(x):
     rho = density_from_pure(bipartite_x(x))
     expected = 2 * x * math.sqrt(1 - x * x)
-    assert correlated_coherence(rho, ([0], [1]), CoherenceKind.L1_NORM) == pytest.approx(expected, abs=1e-12)
+    assert correlated_coherence(rho, ([0], [1]), coherence_l1) == pytest.approx(expected, abs=1e-12)
 
 
 def test_correlated_l1_zero_for_coherent_times_incoherent():
     joint = tensor_product([plus(), DensityOperator((2,), np.diag([0.7, 0.3]))])
-    got = correlated_coherence(joint, ([0], [1]), CoherenceKind.L1_NORM)
+    got = correlated_coherence(joint, ([0], [1]), coherence_l1)
     assert got == pytest.approx(0.0, abs=1e-12)
 
 
@@ -320,13 +320,13 @@ def test_correlated_re_zero_on_products():
         a = DensityOperator((2,), random_density_matrix(2, rng))
         b = DensityOperator((3,), random_density_matrix(3, rng))
         joint = tensor_product([a, b])
-        got = correlated_coherence(joint, ([0], [1]), CoherenceKind.RELATIVE_ENTROPY)
+        got = correlated_coherence(joint, ([0], [1]), coherence_re)
         assert abs(got) < 1e-10
 
 
 def test_correlated_hs_negative_for_coherent_times_mixed_incoherent():
     joint = tensor_product([plus(), mixed(2)])
-    got = correlated_coherence(joint, ([0], [1]), CoherenceKind.HILBERT_SCHMIDT)
+    got = correlated_coherence(joint, ([0], [1]), coherence_hs)
     assert got == pytest.approx(-0.25, abs=1e-12)
 
 
@@ -336,7 +336,7 @@ def test_correlated_l1_nonnegative_on_random_bipartite_states():
         d = int(np.prod(dims))
         for _ in range(40):
             rho = DensityOperator(dims, random_density_matrix(d, rng, rank=int(rng.integers(1, d + 1))))
-            assert correlated_coherence(rho, ([0], [1]), CoherenceKind.L1_NORM) >= -1e-10
+            assert correlated_coherence(rho, ([0], [1]), coherence_l1) >= -1e-10
 
 
 def test_correlated_hs_nonnegative_when_conditions_hold():
@@ -348,12 +348,12 @@ def test_correlated_hs_nonnegative_when_conditions_hold():
             rho = density_from_pure(psi)
             if satisfies_offdiag_conditions(rho, ([0], right)):
                 checked += 1
-                assert correlated_coherence(rho, ([0], right), CoherenceKind.HILBERT_SCHMIDT) >= -1e-10
+                assert correlated_coherence(rho, ([0], right), coherence_hs) >= -1e-10
     # also on states that satisfy the conditions by construction
     for p in np.linspace(0, 1, 11):
         rho = density_from_pure(w_state(p))
         assert satisfies_offdiag_conditions(rho, ([0], [1, 2]))
-        assert correlated_coherence(rho, ([0], [1, 2]), CoherenceKind.HILBERT_SCHMIDT) >= -1e-10
+        assert correlated_coherence(rho, ([0], [1, 2]), coherence_hs) >= -1e-10
         checked += 1
     assert checked > 10
 
@@ -361,19 +361,21 @@ def test_correlated_hs_nonnegative_when_conditions_hold():
 def test_correlated_rejects_bad_bipartitions():
     rho = density_from_pure(w_state(0.5))
     with pytest.raises(ValidationError, match="overlap"):
-        correlated_coherence(rho, ([0, 1], [1, 2]), CoherenceKind.L1_NORM)
+        correlated_coherence(rho, ([0, 1], [1, 2]), coherence_l1)
     with pytest.raises(ValidationError, match="cover"):
-        correlated_coherence(rho, ([0], [1]), CoherenceKind.L1_NORM)
+        correlated_coherence(rho, ([0], [1]), coherence_l1)
     with pytest.raises(ValidationError, match="nonempty"):
-        correlated_coherence(rho, ([], [0, 1, 2]), CoherenceKind.L1_NORM)
+        correlated_coherence(rho, ([], [0, 1, 2]), coherence_l1)
     with pytest.raises(ValidationError, match=r"^subsystem index out of range for 3 subsystems: \[1, 2, 5\]$"):
-        correlated_coherence(rho, ([0], [1, 2, 5]), CoherenceKind.L1_NORM)
+        correlated_coherence(rho, ([0], [1, 2, 5]), coherence_l1)
 
 
-@pytest.mark.parametrize("kind", ["hilbert_schmidt", None])
+@pytest.mark.parametrize("kind", ["hilbert_schmidt", None, MeasureKind.C_HS])
 def test_correlated_rejects_a_kind_that_is_not_a_coherence_kind(kind):
+    # The coherence is passed as its function; a name, None or a MeasureKind is not callable.
     rho = density_from_pure(w_state(0.5))
-    with pytest.raises(ValidationError, match=rf"^kind must be a CoherenceKind, got {kind!r}$"):
+    message = f"coherence must be coherence_hs, coherence_l1 or coherence_re, got {kind!r}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         correlated_coherence(rho, ([0], [1, 2]), kind)
 
 
