@@ -23,7 +23,6 @@ __all__ = [
     "PureState",
     "DensityOperator",
     "Spectrum",
-    "tensor_product",
     "density_from_pure",
     "partial_trace",
     "purity",
@@ -42,9 +41,9 @@ JACOBI_OFFDIAG = 1e-13  # off-diagonal Frobenius norm at which hermitian_spectru
 JACOBI_MAX_SWEEPS = 100  # sweep budget before hermitian_spectrum gives up
 PURITY_ATOL = 1e-10  # |Tr rho^2 - 1| window for purity preconditions
 RANK_CUTOFF = 1e-12  # eigenvalues above this count toward the purification rank
-# Largest total dimension accepted: tensor_product will not produce more, and
-# the CLI refuses larger state files and audit signatures before it reads or
-# samples any amplitude.
+# Largest total dimension accepted: the CLI refuses larger state files and
+# audit signatures before it reads or samples any amplitude, and no matrix read
+# from a PureState's amplitudes (_reduced_matrix) is larger on a side.
 MAX_TOTAL_DIM = 4096
 
 
@@ -114,7 +113,8 @@ class PureState:
         if not np.all(np.isfinite(amps)):
             raise ValidationError("amplitude vector has NaN or infinite entries")
         norm_sq = float(np.vdot(amps, amps).real)
-        if abs(norm_sq - 1.0) > NORM_ATOL:
+        # Entries past about 1e154 make the norm NaN, which this comparison refuses.
+        if not abs(norm_sq - 1.0) <= NORM_ATOL:
             raise ValidationError(f"state vector is not normalized: sum |a|^2 = {norm_sq!r}")
         amps.setflags(write=False)
         self.signature = signature
@@ -192,19 +192,6 @@ class Spectrum:
     eigenvectors: np.ndarray
 
 
-def tensor_product(states: Sequence[DensityOperator]) -> DensityOperator:
-    """Kronecker product of density operators, signatures concatenated in order."""
-    states = list(states)
-    if not states:
-        raise ValidationError("tensor_product needs at least one state")
-    _require_capacity(math.prod(s.signature.total for s in states))
-    dims = tuple(d for s in states for d in s.signature.dims)
-    out = states[0].matrix
-    for s in states[1:]:
-        out = np.kron(out, s.matrix)
-    return _density_unchecked(DimensionSignature(dims), out)
-
-
 def _require_capacity(total: int) -> None:
     """Raise CapacityError if a total dimension exceeds ``MAX_TOTAL_DIM``."""
     if total > MAX_TOTAL_DIM:
@@ -250,13 +237,13 @@ def _require_pure(state: PureState | DensityOperator, hint: str) -> None:
         raise PreconditionError(f"global state is not pure (Tr rho^2 = {p!r}); {hint}")
 
 
-def _block_view(rho: DensityOperator, left: Sequence[int], right: Sequence[int]) -> np.ndarray:
+def _block_view(rho: PureState | DensityOperator, left: Sequence[int], right: Sequence[int]) -> np.ndarray:
     """rho as a (d_left, d_right, d_left, d_right) array; each side flattened in the order given."""
     dims = rho.signature.dims
     n = len(dims)
     shape = (math.prod(dims[m] for m in left), math.prod(dims[m] for m in right))
     perm = [*left, *right, *(n + m for m in left), *(n + m for m in right)]
-    return rho.matrix.reshape(dims + dims).transpose(perm).reshape(shape + shape)
+    return _state_matrix(rho).reshape(dims + dims).transpose(perm).reshape(shape + shape)
 
 
 def _partition_blocks(state: PureState | DensityOperator, target: int, reduced: np.ndarray) -> np.ndarray:
@@ -267,7 +254,7 @@ def _partition_blocks(state: PureState | DensityOperator, target: int, reduced: 
     dims = state.signature.dims
     n = len(dims)
     rest_axes = tuple(m for m in range(2 * n) if m not in (target, n + target))
-    return np.sum(np.abs(state.matrix.reshape(dims + dims)) ** 2, axis=rest_axes)
+    return np.sum(np.abs(_state_matrix(state).reshape(dims + dims)) ** 2, axis=rest_axes)
 
 
 def _entropy(p: np.ndarray) -> float:
@@ -276,22 +263,32 @@ def _entropy(p: np.ndarray) -> float:
     return float(-(p * np.log(p)).sum())
 
 
-def _reduced_matrix(state: PureState | DensityOperator, keep: list[int]) -> np.ndarray:
-    """partial_trace's Hermitian matrix for sorted, in-range ``keep``; a whole DensityOperator gives its own."""
+def _reduced_matrix(state: PureState | DensityOperator, keep: Sequence[int]) -> np.ndarray:
+    """partial_trace's Hermitian matrix for sorted, in-range ``keep``: the one reader of a state's matrix.
+
+    A whole DensityOperator gives its own; a PureState gives M M^dag, M its (keep x rest)
+    amplitude matrix, and raises CapacityError if that is over ``MAX_TOTAL_DIM`` on a side.
+    """
     dims = state.signature.dims
     n = len(dims)
+    if isinstance(state, DensityOperator) and len(keep) == n:
+        return state.matrix
     k = math.prod([dims[m] for m in keep])
     if isinstance(state, PureState):
+        _require_capacity(k)
         rest = [m for m in range(n) if m not in keep]
-        amps = state.amplitudes.reshape(dims).transpose(keep + rest).reshape(k, -1)
+        amps = state.amplitudes.reshape(dims).transpose([*keep, *rest]).reshape(k, -1)
         reduced = amps @ amps.conj().T
-    elif len(keep) == n:
-        return state.matrix
     else:
         bra_ket = list(range(n)) + [n + m if m in keep else m for m in range(n)]
         out_axes = keep + [n + m for m in keep]
         reduced = np.einsum(state.matrix.reshape(dims + dims), bra_ket, out_axes).reshape(k, k)
     return 0.5 * (reduced + reduced.conj().T)
+
+
+def _state_matrix(state: PureState | DensityOperator) -> np.ndarray:
+    """The whole D x D matrix of ``state``: ``_reduced_matrix`` keeping every subsystem."""
+    return _reduced_matrix(state, range(len(state.signature.dims)))
 
 
 def partial_trace(rho: PureState | DensityOperator, keep: Iterable[int]) -> DensityOperator:
@@ -323,16 +320,16 @@ def partial_trace(rho: PureState | DensityOperator, keep: Iterable[int]) -> Dens
     return _density_unchecked(DimensionSignature(kept_dims), _reduced_matrix(rho, keep_list))
 
 
-def purity(rho: DensityOperator) -> float:
+def purity(rho: PureState | DensityOperator) -> float:
     """Tr rho^2, computed as the squared Frobenius norm of the Hermitian matrix."""
-    return _purity(rho.matrix)
+    return _purity(_state_matrix(rho))
 
 
 def _purity(matrix: np.ndarray) -> float:
     return float(np.vdot(matrix, matrix).real)
 
 
-def linear_entropy(rho: DensityOperator) -> float:
+def linear_entropy(rho: PureState | DensityOperator) -> float:
     """1 - Tr rho^2, the purity deficit; ranges over [0, (d-1)/d]."""
     return 1.0 - purity(rho)
 
@@ -375,7 +372,7 @@ def _jacobi_rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
     v[:, q] = vcol_q
 
 
-def hermitian_spectrum(rho: DensityOperator) -> Spectrum:
+def hermitian_spectrum(rho: PureState | DensityOperator) -> Spectrum:
     """Full eigendecomposition by cyclic Jacobi rotations.
 
     Sweeps over all index pairs, rotating each in turn, until the
@@ -388,7 +385,7 @@ def hermitian_spectrum(rho: DensityOperator) -> Spectrum:
     NumericError
         If the sweep budget is exhausted before convergence.
     """
-    a = np.array(rho.matrix, dtype=np.complex128)
+    a = np.array(_state_matrix(rho), dtype=np.complex128)
     n = a.shape[0]
     v = np.eye(n, dtype=np.complex128)
     for _ in range(JACOBI_MAX_SWEEPS):
@@ -412,7 +409,7 @@ def hermitian_spectrum(rho: DensityOperator) -> Spectrum:
     return Spectrum(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
-def von_neumann_entropy(rho: DensityOperator) -> float:
+def von_neumann_entropy(rho: PureState | DensityOperator) -> float:
     """-sum lambda ln lambda over the spectrum (natural log, 0 ln 0 = 0).
 
     The eigenvalues come from one LAPACK ``eigvalsh`` call and are summed in
@@ -425,7 +422,7 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
     NumericError
         If LAPACK reports that the eigenvalue solve failed.
     """
-    return _vn_entropy(rho.matrix)
+    return _vn_entropy(_state_matrix(rho))
 
 
 def _vn_entropy(matrix: np.ndarray) -> float:
@@ -440,7 +437,7 @@ def _eigvalsh(matrix: np.ndarray) -> np.ndarray:
         raise NumericError(f"eigenvalue solve failed: {exc}") from exc
 
 
-def purify(rho: DensityOperator) -> PureState:
+def purify(rho: PureState | DensityOperator) -> PureState:
     """Embed rho as subsystem 0 of a pure state on system x ancilla.
 
     The ancilla dimension equals the rank of rho (eigenvalues above

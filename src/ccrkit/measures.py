@@ -6,7 +6,8 @@ correlation term that completes the balance for a subsystem of a globally
 pure state.  Every quantifier is returned together with its theoretical
 maximum for the dimension at hand.  Each formula that the balances of
 ``ccrkit.ccr`` read is a private kernel on the reduced matrix m or on
-p = _diag_probs(m), with d = len(p), and the public quantifier wraps it.
+p = _diag_probs(m), with d = len(p), and the public quantifier wraps it,
+reading m of a PureState or a DensityOperator through ``core._state_matrix``.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .core import (
     _partition_blocks,
     _reduced_matrix,
     _require_pure,
+    _state_matrix,
     _subsystems,
     _vn_entropy,
     linear_entropy,
@@ -132,38 +134,39 @@ def _coherence_re(p: np.ndarray, s_vn: float) -> float:
     return _entropy(np.sort(p)[::-1]) - s_vn
 
 
-def predictability_hs(rho: DensityOperator) -> MeasureValue:
+def predictability_hs(rho: PureState | DensityOperator) -> MeasureValue:
     """sum_i rho_ii^2 - 1/d, bounded by (d - 1)/d."""
     d = rho.signature.total
-    return MeasureValue(_predictability_hs(_diag_probs(rho.matrix)), (d - 1) / d, MeasureKind.P_HS)
+    return MeasureValue(_predictability_hs(_diag_probs(_state_matrix(rho))), (d - 1) / d, MeasureKind.P_HS)
 
 
-def predictability_vn(rho: DensityOperator) -> MeasureValue:
+def predictability_vn(rho: PureState | DensityOperator) -> MeasureValue:
     """ln d + sum_i rho_ii ln rho_ii (0 ln 0 = 0), bounded by ln d."""
-    return MeasureValue(_predictability_vn(_diag_probs(rho.matrix)), math.log(rho.signature.total), MeasureKind.P_VN)
+    p = _diag_probs(_state_matrix(rho))
+    return MeasureValue(_predictability_vn(p), math.log(rho.signature.total), MeasureKind.P_VN)
 
 
-def predictability_l1(rho: DensityOperator) -> MeasureValue:
+def predictability_l1(rho: PureState | DensityOperator) -> MeasureValue:
     """d - 1 - sum_{j != k} sqrt(rho_jj rho_kk), bounded by d - 1."""
     d = rho.signature.total
-    p = _diag_probs(rho.matrix)
+    p = _diag_probs(_state_matrix(rho))
     return MeasureValue(d - 1 - float(np.sqrt(p).sum() ** 2 - p.sum()), d - 1, MeasureKind.P_L1)
 
 
-def coherence_hs(rho: DensityOperator) -> MeasureValue:
+def coherence_hs(rho: PureState | DensityOperator) -> MeasureValue:
     """sum_{i != k} |rho_ik|^2, the Hilbert-Schmidt coherence; bound (d - 1)/d."""
     d = rho.signature.total
-    return MeasureValue(_coherence_hs(rho.matrix), (d - 1) / d, MeasureKind.C_HS)
+    return MeasureValue(_coherence_hs(_state_matrix(rho)), (d - 1) / d, MeasureKind.C_HS)
 
 
-def coherence_l1(rho: DensityOperator) -> MeasureValue:
+def coherence_l1(rho: PureState | DensityOperator) -> MeasureValue:
     """sum_{i != k} |rho_ik|, the l1-norm coherence; bound d - 1."""
-    return MeasureValue(float(np.abs(_offdiag(rho.matrix)).sum()), rho.signature.total - 1, MeasureKind.C_L1)
+    return MeasureValue(float(np.abs(_offdiag(_state_matrix(rho))).sum()), rho.signature.total - 1, MeasureKind.C_L1)
 
 
-def coherence_re(rho: DensityOperator) -> MeasureValue:
+def coherence_re(rho: PureState | DensityOperator) -> MeasureValue:
     """S_vn(diag(rho)) - S_vn(rho), the relative entropy of coherence; bound ln d."""
-    m = rho.matrix
+    m = _state_matrix(rho)
     return MeasureValue(_coherence_re(_diag_probs(m), _vn_entropy(m)), math.log(rho.signature.total), MeasureKind.C_RE)
 
 
@@ -196,7 +199,7 @@ def nonlocal_coherence_hs_direct(rho_full: PureState | DensityOperator, target: 
     return MeasureValue(_nonlocal_hs_sum(rho_full, target, reduced), (d_t - 1) / d_t, MeasureKind.C_NL_HS)
 
 
-def _split_bipartition(rho: DensityOperator, bipartition) -> tuple[list[int], list[int]]:
+def _split_bipartition(rho: PureState | DensityOperator, bipartition) -> tuple[list[int], list[int]]:
     try:
         left_raw, right_raw = bipartition
     except (TypeError, ValueError):
@@ -212,9 +215,9 @@ def _split_bipartition(rho: DensityOperator, bipartition) -> tuple[list[int], li
 
 
 def correlated_coherence(
-    rho_joint: DensityOperator,
+    rho_joint: PureState | DensityOperator,
     bipartition: tuple[Iterable[int], Iterable[int]],
-    coherence: Callable[[DensityOperator], MeasureValue],
+    coherence: Callable[[PureState | DensityOperator], MeasureValue],
 ) -> float:
     """C(rho_joint) - C(rho_left) - C(rho_right), C the coherence function passed.
 
@@ -232,16 +235,16 @@ def correlated_coherence(
 
 
 def _correlated_coherence(
-    joint: DensityOperator,
+    joint: PureState | DensityOperator,
     left_rho: DensityOperator,
     right_rho: DensityOperator,
-    coherence: Callable[[DensityOperator], MeasureValue],
+    coherence: Callable[[PureState | DensityOperator], MeasureValue],
 ) -> float:
     """correlated_coherence given the two reductions of ``joint``, for callers that already hold them."""
     return coherence(joint).value - coherence(left_rho).value - coherence(right_rho).value
 
 
-def concurrence_generalized(rho_reduced: DensityOperator) -> MeasureValue:
+def concurrence_generalized(rho_reduced: PureState | DensityOperator) -> MeasureValue:
     """sqrt(2 (1 - Tr rho^2)); an entanglement monotone when rho is a reduction of a pure state."""
     d = rho_reduced.signature.total
     value = math.sqrt(2.0 * max(linear_entropy(rho_reduced), 0.0))
@@ -249,7 +252,7 @@ def concurrence_generalized(rho_reduced: DensityOperator) -> MeasureValue:
 
 
 def satisfies_offdiag_conditions(
-    rho_full: DensityOperator, bipartition: tuple[Iterable[int], Iterable[int]]
+    rho_full: PureState | DensityOperator, bipartition: tuple[Iterable[int], Iterable[int]]
 ) -> bool:
     """Whether each reduced off-diagonal modulus matches its term-wise sum.
 

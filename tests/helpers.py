@@ -9,13 +9,16 @@ import numpy as np
 
 from ccrkit.core import (
     DensityOperator,
+    DimensionSignature,
     PureState,
     _check_target,
     _density_unchecked,
+    _require_capacity,
     _require_pure,
     linear_entropy,
     partial_trace,
 )
+from ccrkit.errors import ValidationError
 from ccrkit.measures import _PURE_ONLY, MeasureKind, MeasureValue
 
 
@@ -258,7 +261,8 @@ def wrapper_nonlocal_hs_sum(reduced, blocks=None):
 
 
 # Routes that only the tests need: the entropy form of C_nl (an oracle for the
-# index-partition sum), the dephasing map, and the state-file writer.
+# index-partition sum), the dephasing map, the tensor product of densities, and
+# the state-file writer.
 
 
 def nonlocal_coherence_hs_via_entropy(rho_full: PureState | DensityOperator, target: int) -> MeasureValue:
@@ -277,6 +281,23 @@ def nonlocal_coherence_hs_via_entropy(rho_full: PureState | DensityOperator, tar
 def dephased(rho: DensityOperator) -> DensityOperator:
     """Diagonal part of rho in the computational basis; the nearest incoherent state."""
     return _density_unchecked(rho.signature, np.diag(np.diag(rho.matrix).real.astype(np.complex128)))
+
+
+def tensor_product(states):
+    """Kronecker product of density operators, signatures concatenated in order.
+
+    The product is refused with CapacityError above ``ccrkit.core.MAX_TOTAL_DIM``,
+    the one cap of state files and audits.
+    """
+    states = list(states)
+    if not states:
+        raise ValidationError("tensor_product needs at least one state")
+    _require_capacity(math.prod(s.signature.total for s in states))
+    dims = tuple(d for s in states for d in s.signature.dims)
+    out = states[0].matrix
+    for s in states[1:]:
+        out = np.kron(out, s.matrix)
+    return _density_unchecked(DimensionSignature(dims), out)
 
 
 def serialize_state(state: PureState | DensityOperator) -> bytes:

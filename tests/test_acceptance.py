@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 import pytest
-from helpers import nonlocal_coherence_hs_via_entropy, random_density_matrix, xlogx
+from helpers import nonlocal_coherence_hs_via_entropy, random_density_matrix, tensor_product, xlogx
 
 from ccrkit import (
     DensityOperator,
@@ -28,7 +28,6 @@ from ccrkit import (
     predictability_l1,
     predictability_vn,
     purify,
-    tensor_product,
     von_neumann_entropy,
 )
 from ccrkit.states import acin, bipartite_x, five_term, ghz, haar_random_pure, qutrit_jb, w_state, werner_like

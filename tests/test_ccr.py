@@ -15,6 +15,7 @@ from helpers import (
     nonlocal_coherence_hs_via_entropy,
     random_density_matrix,
     random_pure_vector,
+    tensor_product,
 )
 
 import ccrkit.ccr
@@ -48,7 +49,6 @@ from ccrkit import (
     predictability_hs,
     predictability_l1,
     predictability_vn,
-    tensor_product,
     von_neumann_entropy,
 )
 from ccrkit.states import bipartite_x, ghz, haar_random_pure, qutrit_jb, w_state, werner_like

@@ -25,7 +25,6 @@ from ccrkit import (
     nonlocal_coherence_hs_direct,
     partial_trace,
     purity,
-    tensor_product,
 )
 from ccrkit.cli import (
     EXIT_FAIL,
@@ -41,7 +40,7 @@ from ccrkit.cli import (
     render_sweep_csv,
 )
 from ccrkit.states import FACTORY_PARAMS, acin, haar_random_pure, w_state
-from helpers import complex_from_pairs, random_pure_vector, serialize_state
+from helpers import complex_from_pairs, random_pure_vector, serialize_state, tensor_product
 
 
 BELL_DOC = {
@@ -371,6 +370,19 @@ def test_check_density_file_with_huge_entries_exits_2(tmp_path, capsys, rows, me
     path = write_json(tmp_path / "huge.json", {"dims": [2], "kind": "density", "data": rows})
     assert main(["check", "--file", path, "--flavor", "mixedness"]) == EXIT_INPUT
     assert message in capsys.readouterr().err
+
+
+#: A pure file whose squared norm overflows to NaN; it once passed ``--flavor vn``.
+NAN_NORM_DOC = {"dims": [2, 2], "kind": "pure", "data": [[1e200, 1e200], [0, 0], [0, 0], [0, 0]]}
+
+
+@pytest.mark.parametrize("flavor", ["hs", "vn", "mixedness"])
+def test_check_pure_file_whose_norm_overflows_exits_2(tmp_path, capsys, flavor):
+    path = write_json(tmp_path / "nan_norm.json", NAN_NORM_DOC)
+    assert main(["check", "--file", path, "--flavor", flavor]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: state vector is not normalized: sum |a|^2 = nan\n"
 
 
 def test_check_and_audit_never_build_the_density_of_a_pure_state(tmp_path, monkeypatch):

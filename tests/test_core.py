@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import brute_partial_trace, dephased, random_density_matrix, random_pure_vector
+from helpers import brute_partial_trace, dephased, random_density_matrix, random_pure_vector, tensor_product
 
 import ccrkit.core
 from ccrkit import (
@@ -27,7 +27,6 @@ from ccrkit import (
     purify,
     purity,
     satisfies_offdiag_conditions,
-    tensor_product,
     von_neumann_entropy,
 )
 from ccrkit.core import _entropy
@@ -70,6 +69,12 @@ def test_signature_total():
 def test_pure_state_rejects_unnormalized():
     with pytest.raises(ValidationError, match="normalized"):
         PureState((2,), [1.0, 1.0])
+
+
+def test_pure_state_rejects_a_norm_that_overflows_to_nan():
+    # Both parts past 1.4e154 make sum |a|^2 inf - inf = NaN, which is refused, not passed.
+    with pytest.raises(ValidationError, match=r"not normalized: sum \|a\|\^2 = nan$"):
+        PureState((2, 2), [1e200 + 1e200j, 0, 0, 0])
 
 
 def test_pure_state_rejects_shape_mismatch():

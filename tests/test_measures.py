@@ -6,7 +6,14 @@ import re
 
 import numpy as np
 import pytest
-from helpers import brute_offdiag_defect, dephased, nonlocal_coherence_hs_via_entropy, random_density_matrix, xlogx
+from helpers import (
+    brute_offdiag_defect,
+    dephased,
+    nonlocal_coherence_hs_via_entropy,
+    random_density_matrix,
+    tensor_product,
+    xlogx,
+)
 
 import ccrkit.measures
 from ccrkit import (
@@ -30,7 +37,6 @@ from ccrkit import (
     predictability_l1,
     predictability_vn,
     satisfies_offdiag_conditions,
-    tensor_product,
     von_neumann_entropy,
 )
 from ccrkit.states import acin, bipartite_x, five_term, ghz, haar_random_pure, qutrit_jb, w_state

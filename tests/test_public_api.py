@@ -11,8 +11,8 @@ import ccrkit.measures
 SUBMODULES = ("ccrkit.errors", "ccrkit.core", "ccrkit.measures", "ccrkit.ccr", "ccrkit.states")
 MODULES = ("ccrkit", *SUBMODULES, "ccrkit.cli")
 
-# Second routes that only the tests use; they live in tests/helpers.py.
-TEST_ONLY = ("nonlocal_coherence_hs_via_entropy", "dephased", "serialize_state")
+# Second routes and utilities that only the tests use; they live in tests/helpers.py.
+TEST_ONLY = ("nonlocal_coherence_hs_via_entropy", "dephased", "serialize_state", "tensor_product")
 
 
 @pytest.mark.parametrize("module_name", MODULES)
