@@ -22,12 +22,10 @@ __all__ = [
     "DimensionSignature",
     "PureState",
     "DensityOperator",
-    "Spectrum",
     "density_from_pure",
     "partial_trace",
     "purity",
     "linear_entropy",
-    "hermitian_spectrum",
     "von_neumann_entropy",
     "purify",
 ]
@@ -36,9 +34,9 @@ __all__ = [
 # Numeric windows and the capacity limit, read only inside this module.
 NORM_ATOL = 1e-12  # validation window for normalization / trace / Hermiticity
 PSD_FLOOR = -1e-10  # smallest eigenvalue allowed before a matrix is rejected
-EIG_CLAMP = 1e-10  # hermitian_spectrum snaps eigenvalues in [-EIG_CLAMP, 0] to 0
-JACOBI_OFFDIAG = 1e-13  # off-diagonal Frobenius norm at which hermitian_spectrum stops
-JACOBI_MAX_SWEEPS = 100  # sweep budget before hermitian_spectrum gives up
+EIG_CLAMP = 1e-10  # purify's Jacobi solver snaps eigenvalues in [-EIG_CLAMP, 0] to 0
+JACOBI_OFFDIAG = 1e-13  # off-diagonal Frobenius norm at which purify's Jacobi solver stops
+JACOBI_MAX_SWEEPS = 100  # sweep budget before purify's Jacobi solver gives up
 PURITY_ATOL = 1e-10  # |Tr rho^2 - 1| window for purity preconditions
 RANK_CUTOFF = 1e-12  # eigenvalues above this count toward the purification rank
 # Largest total dimension accepted: the CLI refuses larger state files and
@@ -178,18 +176,6 @@ def _density_unchecked(signature: DimensionSignature, matrix: np.ndarray) -> Den
     rho.signature = signature
     rho.matrix = mat
     return rho
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigendecomposition of a Hermitian matrix.
-
-    ``eigenvalues`` are real and descending; column k of ``eigenvectors``
-    pairs with ``eigenvalues[k]``.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def _require_capacity(total: int) -> None:
@@ -372,20 +358,9 @@ def _jacobi_rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
     v[:, q] = vcol_q
 
 
-def hermitian_spectrum(rho: PureState | DensityOperator) -> Spectrum:
-    """Full eigendecomposition by cyclic Jacobi rotations.
-
-    Sweeps over all index pairs, rotating each in turn, until the
-    off-diagonal Frobenius norm drops below ``JACOBI_OFFDIAG``.
-    Eigenvalues within the clamp window below zero are snapped to 0, and
-    the pairs are returned in descending eigenvalue order.
-
-    Raises
-    ------
-    NumericError
-        If the sweep budget is exhausted before convergence.
-    """
-    a = np.array(_state_matrix(rho), dtype=np.complex128)
+def _jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Descending eigenvalues and matching eigenvector columns of a Hermitian matrix, by cyclic Jacobi sweeps."""
+    a = np.array(matrix, dtype=np.complex128)
     n = a.shape[0]
     v = np.eye(n, dtype=np.complex128)
     for _ in range(JACOBI_MAX_SWEEPS):
@@ -402,18 +377,14 @@ def hermitian_spectrum(rho: PureState | DensityOperator) -> Spectrum:
     w = np.diag(a).real.copy()
     w[(w < 0.0) & (w >= -EIG_CLAMP)] = 0.0
     order = np.argsort(w, kind="stable")[::-1]
-    eigenvalues = w[order]
-    eigenvectors = v[:, order]
-    eigenvalues.setflags(write=False)
-    eigenvectors.setflags(write=False)
-    return Spectrum(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
+    return w[order], v[:, order]
 
 
 def von_neumann_entropy(rho: PureState | DensityOperator) -> float:
     """-sum lambda ln lambda over the spectrum (natural log, 0 ln 0 = 0).
 
     The eigenvalues come from one LAPACK ``eigvalsh`` call and are summed in
-    descending order, as ``hermitian_spectrum`` returns them.  They need no
+    descending order, as ``_jacobi_eigh`` returns them.  They need no
     ``EIG_CLAMP`` snap: ``_entropy`` drops every entry that is not positive,
     so a roundoff value just below 0 adds nothing either way.
 
@@ -443,12 +414,12 @@ def purify(rho: PureState | DensityOperator) -> PureState:
     The ancilla dimension equals the rank of rho (eigenvalues above
     ``RANK_CUTOFF``), and the amplitudes are sqrt(lambda_k) on the
     Schmidt pairs, so tracing out the ancilla recovers rho.  The system
-    side is returned as a single subsystem of the full dimension.
+    side is returned as a single subsystem of the full dimension.  The
+    eigenpairs come from ``_jacobi_eigh``: NumericError if it does not converge.
     """
-    spectrum = hermitian_spectrum(rho)
-    mask = spectrum.eigenvalues > RANK_CUTOFF
-    lam = spectrum.eigenvalues[mask]
-    vecs = spectrum.eigenvectors[:, mask]
+    eigenvalues, eigenvectors = _jacobi_eigh(_state_matrix(rho))
+    mask = eigenvalues > RANK_CUTOFF
+    lam, vecs = eigenvalues[mask], eigenvectors[:, mask]
     amps = (vecs * np.sqrt(lam)).reshape(-1)
     amps = amps / np.linalg.norm(amps)
     d = rho.signature.total

@@ -53,6 +53,7 @@ __all__ = [
 
 # Negative-roundoff clamp window and slack allowed above a theoretical bound.
 MEASURE_ATOL = 1e-10
+_NOT_A_COHERENCE = "coherence must be coherence_hs, coherence_l1 or coherence_re, got {!r}"
 
 
 class MeasureKind(enum.Enum):
@@ -222,14 +223,16 @@ def correlated_coherence(
     """C(rho_joint) - C(rho_left) - C(rho_right), C the coherence function passed.
 
     ``coherence`` is the measure itself, ``coherence_hs``, ``coherence_l1`` or
-    ``coherence_re``, passed the way ``ccr.audit`` takes its balance.  The l1
-    form is non-negative for every bipartite state, and the relative-entropy
-    form vanishes on products; the Hilbert-Schmidt form can be negative (e.g.
-    a coherent state tensored with an incoherent mixed one), so the raw value
-    is returned rather than a MeasureValue.
+    ``coherence_re``, passed the way ``ccr.audit`` takes its balance.  Another
+    function (a predictability, say) is refused with ValidationError by the kind
+    of its first result; an error it raises itself (``len`` gives TypeError) is
+    not caught.  The l1 form is non-negative for every bipartite state, and the
+    relative-entropy form vanishes on products; the Hilbert-Schmidt form can be
+    negative (e.g. a coherent state tensored with an incoherent mixed one), so
+    the raw value is returned rather than a MeasureValue.
     """
     if not callable(coherence):
-        raise ValidationError(f"coherence must be coherence_hs, coherence_l1 or coherence_re, got {coherence!r}")
+        raise ValidationError(_NOT_A_COHERENCE.format(coherence))
     left, right = _split_bipartition(rho_joint, bipartition)
     return _correlated_coherence(rho_joint, partial_trace(rho_joint, left), partial_trace(rho_joint, right), coherence)
 
@@ -241,7 +244,10 @@ def _correlated_coherence(
     coherence: Callable[[PureState | DensityOperator], MeasureValue],
 ) -> float:
     """correlated_coherence given the two reductions of ``joint``, for callers that already hold them."""
-    return coherence(joint).value - coherence(left_rho).value - coherence(right_rho).value
+    whole = coherence(joint)
+    if not isinstance(whole, MeasureValue) or whole.kind not in (MeasureKind.C_HS, MeasureKind.C_L1, MeasureKind.C_RE):
+        raise ValidationError(_NOT_A_COHERENCE.format(coherence))
+    return whole.value - coherence(left_rho).value - coherence(right_rho).value
 
 
 def concurrence_generalized(rho_reduced: PureState | DensityOperator) -> MeasureValue:

@@ -138,12 +138,12 @@ def test_ccr_vn_solves_one_spectrum_per_check(monkeypatch):
         return eigvalsh(matrix)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("hermitian_spectrum called by ccr_vn")
+        raise AssertionError("the Jacobi solver called by ccr_vn")
 
     psi = next(haar_random_pure((3, 2, 4), 1, seed=42))
     rho = density_from_pure(psi)
     monkeypatch.setattr(ccrkit.core.np.linalg, "eigvalsh", counting_eigvalsh)
-    monkeypatch.setattr(ccrkit.core, "hermitian_spectrum", refuse)
+    monkeypatch.setattr(ccrkit.core, "_jacobi_eigh", refuse)
     for state in (psi, rho):
         for target in range(3):
             calls.clear()

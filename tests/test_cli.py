@@ -796,6 +796,21 @@ def test_sweep_looks_up_the_coherence_functions_when_a_column_runs(tmp_path, mon
     assert calls == {"coherence_l1": 9, "coherence_hs": 18}
 
 
+@pytest.mark.parametrize("column", ["C_corr_l1", "C_corr_hs_pairsum"])
+def test_sweep_correlated_column_refuses_a_function_that_is_not_a_coherence(column, tmp_path, capsys, monkeypatch):
+    # Both C_corr_* routes run measures._correlated_coherence, which checks the kind of its first result.
+    name = "coherence_l1" if column.endswith("l1") else "coherence_hs"
+    monkeypatch.setattr(ccrkit.cli, name, ccrkit.measures.predictability_hs)
+    code = main(
+        [
+            "sweep", "--factory", "w", "--param", "p", "--start", "0", "--stop", "1",
+            "--points", "3", "--measures", column, "--target", "0", "--out", str(tmp_path / "w.csv"),
+        ]
+    )
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: coherence must be coherence_hs, coherence_l1 or coherence_re")
+
+
 def test_sweep_nonlocal_column_checks_like_the_public_measure(capsys, tmp_path):
     psi = density_from_pure(acin(0.5, 0.3j, -0.4, 0.2 + 0.1j))
     for target in range(3):

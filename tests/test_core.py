@@ -21,7 +21,6 @@ from ccrkit import (
     correlated_coherence,
     density_from_pure,
     haar_random_pure,
-    hermitian_spectrum,
     linear_entropy,
     partial_trace,
     purify,
@@ -29,7 +28,7 @@ from ccrkit import (
     satisfies_offdiag_conditions,
     von_neumann_entropy,
 )
-from ccrkit.core import _entropy
+from ccrkit.core import _entropy, _jacobi_eigh
 from ccrkit.states import acin, bipartite_x, ghz, w_state, werner_like
 
 
@@ -362,35 +361,34 @@ def test_linear_entropy_values():
 
 
 # ---------------------------------------------------------------------------
-# spectra and entropies
+# spectra (purify's Jacobi solver) and entropies
 
 
 def test_spectrum_diagonal_matrix():
-    spec = hermitian_spectrum(DensityOperator((2,), np.diag([0.3, 0.7])))
-    assert np.allclose(spec.eigenvalues, [0.7, 0.3])
+    w, _ = _jacobi_eigh(DensityOperator((2,), np.diag([0.3, 0.7])).matrix)
+    assert np.allclose(w, [0.7, 0.3])
 
 
 def test_spectrum_plus_projector():
-    spec = hermitian_spectrum(plus_state())
-    assert np.allclose(spec.eigenvalues, [1.0, 0.0], atol=1e-12)
+    w, _ = _jacobi_eigh(plus_state().matrix)
+    assert np.allclose(w, [1.0, 0.0], atol=1e-12)
 
 
 @pytest.mark.parametrize("x", [0.2, 1 / math.sqrt(2), 0.9])
 def test_spectrum_x_state_reduced_schmidt(x):
     reduced = partial_trace(density_from_pure(bipartite_x(x)), [0])
-    spec = hermitian_spectrum(reduced)
+    w, _ = _jacobi_eigh(reduced.matrix)
     expected = sorted([x**2, 1 - x**2], reverse=True)
-    assert np.allclose(spec.eigenvalues, expected, atol=1e-12)
+    assert np.allclose(w, expected, atol=1e-12)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 6, 9, 16])
 def test_spectrum_matches_lapack_oracle(d):
     rng = np.random.default_rng(100 + d)
     rho = DensityOperator((d,), random_density_matrix(d, rng))
-    spec = hermitian_spectrum(rho)
+    w, v = _jacobi_eigh(rho.matrix)
     oracle = np.sort(np.linalg.eigvalsh(rho.matrix))[::-1]
-    assert np.allclose(spec.eigenvalues, oracle, atol=1e-10)
-    v, w = spec.eigenvectors, spec.eigenvalues
+    assert np.allclose(w, oracle, atol=1e-10)
     assert np.allclose(v @ np.diag(w) @ v.conj().T, rho.matrix, atol=1e-10)
     assert np.allclose(v.conj().T @ v, np.eye(d), atol=1e-10)
     for k in range(d):
@@ -401,7 +399,7 @@ def test_spectrum_matches_lapack_oracle(d):
 def test_spectrum_nonconvergence_raises(monkeypatch):
     monkeypatch.setattr(ccrkit.core, "JACOBI_MAX_SWEEPS", 0)
     with pytest.raises(NumericError, match="converge"):
-        hermitian_spectrum(plus_state())
+        _jacobi_eigh(plus_state().matrix)
 
 
 def test_vn_entropy_pure_state_is_zero():
@@ -422,7 +420,7 @@ def test_vn_entropy_x_state_reduced():
 
 def jacobi_entropy(rho):
     """S_vn through the Jacobi eigensolver; oracle for the LAPACK route."""
-    return _entropy(hermitian_spectrum(rho).eigenvalues)
+    return _entropy(_jacobi_eigh(rho.matrix)[0])
 
 
 @pytest.mark.parametrize("d", range(2, 9))
@@ -502,8 +500,8 @@ def test_purify_maximally_mixed_qubit():
     back = partial_trace(rho, [0])
     assert np.allclose(back.matrix, np.eye(2) / 2, atol=1e-10)
     # maximally entangled: both Schmidt coefficients are 1/2
-    spec = hermitian_spectrum(back)
-    assert np.allclose(spec.eigenvalues, [0.5, 0.5], atol=1e-10)
+    w, _ = _jacobi_eigh(back.matrix)
+    assert np.allclose(w, [0.5, 0.5], atol=1e-10)
 
 
 def test_purify_werner_roundtrip():

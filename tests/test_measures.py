@@ -1,6 +1,7 @@
 """Complementarity quantifiers: worked values, identities, and bounds."""
 
 import dataclasses
+import functools
 import math
 import re
 
@@ -383,6 +384,39 @@ def test_correlated_rejects_a_kind_that_is_not_a_coherence_kind(kind):
     message = f"coherence must be coherence_hs, coherence_l1 or coherence_re, got {kind!r}"
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         correlated_coherence(rho, ([0], [1, 2]), kind)
+
+
+@pytest.mark.parametrize("fn", [predictability_hs, predictability_vn, predictability_l1, concurrence_generalized])
+def test_correlated_refuses_a_function_that_is_not_a_coherence(fn):
+    # Refused by the kind of its first result, before either reduction is measured:
+    # predictability_hs used to give -0.125 on this pair.
+    calls = []
+
+    def counting(rho):
+        calls.append(rho)
+        return fn(rho)
+
+    pair = partial_trace(w_state(0.5), [0, 1])
+    message = f"coherence must be coherence_hs, coherence_l1 or coherence_re, got {counting!r}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        correlated_coherence(pair, ([0], [1]), counting)
+    assert calls == [pair]
+
+
+def test_correlated_refuses_a_function_that_returns_no_measure_value():
+    with pytest.raises(ValidationError, match="^coherence must be"):
+        correlated_coherence(partial_trace(w_state(0.5), [0, 1]), ([0], [1]), lambda rho: 0.5)
+
+
+@pytest.mark.parametrize("coherence", [coherence_hs, coherence_l1, coherence_re])
+def test_correlated_accepts_a_wrapped_coherence(coherence):
+    # A functools.wraps wrapper (a tracer's, say) returns the coherence's own MeasureValue.
+    @functools.wraps(coherence)
+    def wrapped(rho):
+        return coherence(rho)
+
+    pair = partial_trace(w_state(0.5), [0, 1])
+    assert correlated_coherence(pair, ([0], [1]), wrapped) == correlated_coherence(pair, ([0], [1]), coherence)
 
 
 # ---------------------------------------------------------------------------
