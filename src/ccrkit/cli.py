@@ -43,6 +43,7 @@ import gc
 import itertools
 import json
 import math
+import numbers
 import re
 import sys
 from dataclasses import dataclass, field
@@ -56,6 +57,7 @@ from .core import (
     DimensionSignature,
     PureState,
     _check_target,
+    _index,
     _require_capacity,
     density_from_pure,
     linear_entropy,
@@ -281,13 +283,17 @@ def _validate_sweep(config: SweepConfig) -> None:
             f"variant {config.variant!r} has no parameter {config.param!r}; "
             f"expected one of {list(FACTORY_PARAMS[config.variant])}"
         )
+    if not all(isinstance(edge, numbers.Real) for edge in (config.start, config.stop)):
+        raise ValidationError(
+            f"sweep grid edges must be real numbers, got {config.start!r} and {config.stop!r}"
+        )
     if not math.isfinite(config.stop - config.start):
         raise ValidationError(
             f"sweep grid edges must be finite with a finite span, got {config.start!r} and {config.stop!r}"
         )
     if config.param in config.fixed:
         raise ValidationError(f"parameter {config.param!r} is swept, so it cannot also be fixed")
-    if not 2 <= config.points <= MAX_COUNT:
+    if not 2 <= _index(config.points, "sweep grid point count") <= MAX_COUNT:
         raise ValidationError(f"sweep needs 2 to {MAX_COUNT} grid points, got {config.points}")
     if not config.measures:
         raise ValidationError("sweep needs at least one measure column")

@@ -34,7 +34,6 @@ __all__ = [
 # Numeric windows and the capacity limit, read only inside this module.
 NORM_ATOL = 1e-12  # validation window for normalization / trace / Hermiticity
 PSD_FLOOR = -1e-10  # smallest eigenvalue allowed before a matrix is rejected
-EIG_CLAMP = 1e-10  # purify's Jacobi solver snaps eigenvalues in [-EIG_CLAMP, 0] to 0
 JACOBI_OFFDIAG = 1e-13  # off-diagonal Frobenius norm at which purify's Jacobi solver stops
 JACOBI_MAX_SWEEPS = 100  # sweep budget before purify's Jacobi solver gives up
 PURITY_ATOL = 1e-10  # |Tr rho^2 - 1| window for purity preconditions
@@ -374,8 +373,7 @@ def _jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             f"Jacobi eigensolver did not converge within {JACOBI_MAX_SWEEPS} sweeps "
             f"(off-diagonal norm {_offdiag_norm(a):.3e})"
         )
-    w = np.diag(a).real.copy()
-    w[(w < 0.0) & (w >= -EIG_CLAMP)] = 0.0
+    w = np.diag(a).real
     order = np.argsort(w, kind="stable")[::-1]
     return w[order], v[:, order]
 
@@ -384,9 +382,9 @@ def von_neumann_entropy(rho: PureState | DensityOperator) -> float:
     """-sum lambda ln lambda over the spectrum (natural log, 0 ln 0 = 0).
 
     The eigenvalues come from one LAPACK ``eigvalsh`` call and are summed in
-    descending order, as ``_jacobi_eigh`` returns them.  They need no
-    ``EIG_CLAMP`` snap: ``_entropy`` drops every entry that is not positive,
-    so a roundoff value just below 0 adds nothing either way.
+    descending order, as ``_jacobi_eigh`` returns them.  ``_entropy`` drops
+    every entry that is not positive, so a roundoff value just below 0 adds
+    nothing.
 
     Raises
     ------

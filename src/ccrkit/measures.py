@@ -251,9 +251,14 @@ def _correlated_coherence(
 
 
 def concurrence_generalized(rho_reduced: PureState | DensityOperator) -> MeasureValue:
-    """sqrt(2 (1 - Tr rho^2)); an entanglement monotone when rho is a reduction of a pure state."""
+    """sqrt(2 (1 - Tr rho^2)); an entanglement monotone when rho is a reduction of a pure state.
+
+    A linear entropy of at most ``MEASURE_ATOL`` is roundoff and reads 0 before the root,
+    which would otherwise turn 1e-16 into 1e-8.
+    """
     d = rho_reduced.signature.total
-    value = math.sqrt(2.0 * max(linear_entropy(rho_reduced), 0.0))
+    s_l = linear_entropy(rho_reduced)
+    value = math.sqrt(2.0 * s_l) if s_l > MEASURE_ATOL else 0.0
     return MeasureValue(value, math.sqrt(2.0 * (d - 1) / d), MeasureKind.CONCURRENCE)
 
 

@@ -712,6 +712,18 @@ def test_sweep_non_finite_grid_edges_exit_2(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"points": 3.5}, "sweep grid point count must be an integer, got 3.5"),
+    ({"start": "0"}, "sweep grid edges must be real numbers, got '0' and 1.0"),
+], ids=["float-points", "str-start"])
+def test_library_sweep_refuses_a_non_integer_count_and_a_non_real_edge(change, message):
+    # argparse types these flags on the CLI; a library caller gets ValidationError, not TypeError.
+    config = dataclasses.replace(SweepConfig("w", "p", 0.0, 1.0, 3, ("P_hs",)), **change)
+    with pytest.raises(ValidationError) as exc:
+        render_sweep_csv(config)
+    assert str(exc.value) == message
+
+
 def _neumaier_sum(values, start=0):
     """sum() of floats as Python 3.12 and later compute it, with Neumaier's compensation."""
     total, compensation = float(start), 0.0
@@ -951,7 +963,7 @@ def test_audit_bad_dims_string():
     assert main("audit --dims 2,banana --count 1 --seed 1 --flavor hs".split()) == EXIT_INPUT
 
 
-def test_audit_env_tolerance_default():
+def test_audit_passes_at_the_default_tolerance_flag():
     assert (
         main("audit --dims 2,2 --count 5 --seed 3 --flavor hs --tolerance 1e-10".split())
         == EXIT_OK
@@ -959,7 +971,7 @@ def test_audit_env_tolerance_default():
 
 
 @pytest.mark.parametrize("raw", ["nan", "inf", "-1"], ids=lambda raw: f"{raw}-flag")
-def test_audit_invalid_env_tolerance(raw):
+def test_audit_invalid_tolerance_flag_exits_2(raw):
     assert main(f"audit --dims 2,2 --count 5 --seed 3 --flavor hs --tolerance={raw}".split()) == EXIT_INPUT
 
 

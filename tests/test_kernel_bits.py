@@ -3,7 +3,7 @@
 Each library kernel is compared by ``tobytes()`` with the wrapper formula in
 ``helpers`` on random pure and mixed states of three signatures, on diagonals
 holding -0.0 and tiny negative entries, and on spectra with eigenvalues in
-``[-EIG_CLAMP, 0)``.
+``[-CLAMP_WINDOW, 0)``.
 """
 
 import itertools
@@ -33,10 +33,12 @@ from ccrkit import (
     predictability_vn,
     von_neumann_entropy,
 )
-from ccrkit.core import EIG_CLAMP
 from ccrkit.measures import MEASURE_ATOL, _diag_probs, _nonlocal_hs_sum, _offdiag
 
 SIGNATURES = [(2, 3, 2), (3, 2, 4), (2, 2, 2, 2, 2)]
+
+#: Roundoff eigenvalues in [-CLAMP_WINDOW, 0), which the wrapper entropy snaps to 0.
+CLAMP_WINDOW = 1e-10
 
 
 def bits(x):
@@ -118,7 +120,7 @@ def assert_kernels_keep_the_wrapper_bits(rho):
     }
     for name, value in got.items():
         assert bits(value) == bits(snapped(want[name])), name
-    s_vn = wrapper_vn_entropy(m, EIG_CLAMP)
+    s_vn = wrapper_vn_entropy(m, CLAMP_WINDOW)
     assert bits(von_neumann_entropy(rho)) == bits(s_vn)
     assert bits(coherence_re(rho).value) == bits(snapped(want["S_dephased"] - s_vn))
 
@@ -150,7 +152,7 @@ def test_measures_keep_the_wrapper_bits_on_signed_zero_and_tiny_negative_diagona
 def test_measures_keep_the_wrapper_bits_on_eigenvalues_in_the_clamp_window():
     for rho in CLAMP_WINDOW_SPECTRA:
         w = np.linalg.eigvalsh(rho.matrix)
-        assert ((w < 0.0) & (w >= -EIG_CLAMP)).any()
+        assert ((w < 0.0) & (w >= -CLAMP_WINDOW)).any()
         assert_kernels_keep_the_wrapper_bits(rho)
 
 

@@ -429,6 +429,12 @@ def test_concurrence_values():
     assert concurrence_generalized(mixed(2)).value == pytest.approx(1.0, abs=1e-12)
 
 
+def test_concurrence_of_a_pure_whole_state_is_exactly_0():
+    # The root of a roundoff-size linear entropy (up to 4.2e-8 here) reads 0.
+    for psi in haar_random_pure((2, 3, 2), 400, 1):
+        assert concurrence_generalized(psi).value == 0.0
+
+
 @pytest.mark.parametrize("x", [0.1, 0.5, 0.9])
 def test_concurrence_qutrit_closed_form(x):
     reduced = reduced_of(qutrit_jb(x))

@@ -14,8 +14,10 @@ MODULES = ("ccrkit", *SUBMODULES, "ccrkit.cli")
 # Second routes and utilities that only the tests use; they live in tests/helpers.py.
 TEST_ONLY = ("nonlocal_coherence_hs_via_entropy", "dephased", "serialize_state", "tensor_product")
 
-# Names that left the library: purify calls its Jacobi solver, core._jacobi_eigh, directly.
-REMOVED = ("Spectrum", "hermitian_spectrum")
+# Names that left the library and must not come back, on the package or on the module that
+# defined them: purify calls its Jacobi solver, core._jacobi_eigh, directly, and
+# correlated_coherence takes the coherence function itself.
+REMOVED = ("Spectrum", "hermitian_spectrum", "CoherenceKind")
 
 
 @pytest.mark.parametrize("module_name", MODULES)
@@ -34,7 +36,7 @@ def test_test_only_routes_are_not_in_the_library(module_name, name):
     assert name not in module.__all__
 
 
-@pytest.mark.parametrize("module_name", ("ccrkit", "ccrkit.core"))
+@pytest.mark.parametrize("module_name", ("ccrkit", "ccrkit.core", "ccrkit.measures"))
 @pytest.mark.parametrize("name", REMOVED)
 def test_removed_names_are_gone(module_name, name):
     module = importlib.import_module(module_name)
@@ -45,6 +47,7 @@ def test_removed_names_are_gone(module_name, name):
 def test_package_list_is_the_union_of_the_submodule_lists():
     names = [name for module_name in SUBMODULES for name in importlib.import_module(module_name).__all__]
     assert set(ccrkit.__all__) == {"__version__", *names}
+    assert len(ccrkit.__all__) == 45
 
 
 def test_no_name_is_exported_by_two_submodules():

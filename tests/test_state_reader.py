@@ -51,8 +51,7 @@ def report_values(report):
 
 #: Each public function that takes a state, as a call on a three-subsystem state
 #: that returns numbers.  ``purify`` is compared by its projector, which no
-#: eigenvector phase changes, and the concurrence by half its square, the linear
-#: entropy it is the root of (a root of roundoff is about 1e-8).
+#: eigenvector phase changes.
 CALLS = {
     "partial_trace": lambda s: partial_trace(s, [0, 2]).matrix,
     "purity": purity,
@@ -69,7 +68,7 @@ CALLS = {
     "correlated_coherence": lambda s: [
         correlated_coherence(s, ([0], [1, 2]), c) for c in (coherence_hs, coherence_l1, coherence_re)
     ],
-    "concurrence_generalized": lambda s: concurrence_generalized(s).value ** 2 / 2,
+    "concurrence_generalized": lambda s: concurrence_generalized(s).value,
     "satisfies_offdiag_conditions": lambda s: [satisfies_offdiag_conditions(s, ([0, 2], [1]))],
     "ccr_hs": lambda s: [report_values(ccr_hs(s, t)) for t in range(3)],
     "ccr_vn": lambda s: [report_values(ccr_vn(s, t)) for t in range(3)],
