@@ -53,6 +53,9 @@ __all__ = [
 
 # Negative-roundoff clamp window and slack allowed above a theoretical bound.
 MEASURE_ATOL = 1e-10
+# A linear entropy at most this far from 0 is roundoff (1 - Tr rho^2 cancels to a few ulps),
+# and reads 0 before the concurrence's square root.
+_S_L_ROUNDOFF = 1e-14
 _NOT_A_COHERENCE = "coherence must be coherence_hs, coherence_l1 or coherence_re, got {!r}"
 
 
@@ -253,12 +256,12 @@ def _correlated_coherence(
 def concurrence_generalized(rho_reduced: PureState | DensityOperator) -> MeasureValue:
     """sqrt(2 (1 - Tr rho^2)); an entanglement monotone when rho is a reduction of a pure state.
 
-    A linear entropy of at most ``MEASURE_ATOL`` is roundoff and reads 0 before the root,
-    which would otherwise turn 1e-16 into 1e-8.
+    A linear entropy of at most 1e-14 is roundoff and reads 0 before the root, which
+    would otherwise turn 1e-16 into 1e-8; a concurrence from about 1.4e-7 up is kept.
     """
     d = rho_reduced.signature.total
     s_l = linear_entropy(rho_reduced)
-    value = math.sqrt(2.0 * s_l) if s_l > MEASURE_ATOL else 0.0
+    value = math.sqrt(2.0 * s_l) if s_l > _S_L_ROUNDOFF else 0.0
     return MeasureValue(value, math.sqrt(2.0 * (d - 1) / d), MeasureKind.CONCURRENCE)
 
 

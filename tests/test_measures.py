@@ -435,6 +435,15 @@ def test_concurrence_of_a_pure_whole_state_is_exactly_0():
         assert concurrence_generalized(psi).value == 0.0
 
 
+@pytest.mark.parametrize("eps", [1e-6, 6e-6])
+def test_concurrence_of_a_near_product_reduction_is_kept(eps):
+    # S_l = 2 eps^2 (2e-12, 7.2e-11) is small but no roundoff: C = 2 eps / (1 + eps^2).
+    reduced = partial_trace(ghz(1.0, eps), [0])
+    c = concurrence_generalized(reduced).value
+    assert c == pytest.approx(2.0 * eps / (1.0 + eps**2), rel=1e-4)
+    assert 2.0 * predictability_hs(reduced).value + c**2 == pytest.approx(1.0, abs=1e-12)
+
+
 @pytest.mark.parametrize("x", [0.1, 0.5, 0.9])
 def test_concurrence_qutrit_closed_form(x):
     reduced = reduced_of(qutrit_jb(x))
