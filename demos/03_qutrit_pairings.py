@@ -17,7 +17,6 @@ from ccrkit import (
     coherence_l1,
     concurrence_generalized,
     correlated_coherence,
-    density_from_pure,
     partial_trace,
     predictability_hs,
     predictability_l1,
@@ -27,12 +26,12 @@ from ccrkit.states import qutrit_jb
 
 print(f"{'x':>5} {'P^2':>8} {'C^2':>8} {'sum':>8} | {'P_l1':>8} {'Cc_l1':>8} {'sum':>8}")
 for x in np.linspace(0, 1, 11):
-    rho = density_from_pure(qutrit_jb(x))
-    reduced = partial_trace(rho, [0])
+    psi = qutrit_jb(x)
+    reduced = partial_trace(psi, [0])
     p_sq = 2 * predictability_hs(reduced).value
     c_sq = concurrence_generalized(reduced).value ** 2
     p_l1 = predictability_l1(reduced).value
-    cc_l1 = correlated_coherence(rho, ([0], [1]), coherence_l1)
+    cc_l1 = correlated_coherence(psi, ([0], [1]), coherence_l1)
     print(
         f"{x:>5.2f} {p_sq:>8.4f} {c_sq:>8.4f} {p_sq + c_sq:>8.4f} | "
         f"{p_l1:>8.4f} {cc_l1:>8.4f} {p_l1 + cc_l1:>8.4f}"

@@ -170,8 +170,11 @@ class AuditResult:
 def audit(dims, count: int, seed: int, balance: Callable[[PureState, int], CCRReport]) -> AuditResult:
     """``balance`` on every target of each ``haar_random_pure(dims, count, seed)`` state, in order.
 
-    Fewer than 2 subsystems, an over-cap ``dims``, a bad ``count`` or a negative ``seed`` raise before ``balance`` runs.
+    A ``balance`` that is not callable, fewer than 2 subsystems, an over-cap ``dims``, a bad ``count`` or a
+    negative ``seed`` raise before any state is drawn.
     """
+    if not callable(balance):
+        raise ValidationError(f"balance must be a function such as ccr_hs, got {balance!r}")
     signature = DimensionSignature(dims)
     if len(signature) < 2:
         raise ValidationError(f"CCR auditing needs at least 2 subsystems, got dims {signature.dims}")

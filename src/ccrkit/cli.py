@@ -78,7 +78,7 @@ from .measures import (
     predictability_l1,
     predictability_vn,
 )
-from .states import FACTORY_PARAMS, build
+from .states import FACTORY_PARAMS, _variant_params, build
 
 __all__ = [
     "parse_state_file",
@@ -274,15 +274,13 @@ class SweepConfig:
 
 
 def _validate_sweep(config: SweepConfig) -> None:
-    if config.variant not in FACTORY_PARAMS:
+    names = _variant_params(config.variant)
+    if config.param not in names:
         raise ValidationError(
-            f"unknown state variant {config.variant!r}; expected one of {sorted(FACTORY_PARAMS)}"
+            f"variant {config.variant!r} has no parameter {config.param!r}; expected one of {list(names)}"
         )
-    if config.param not in FACTORY_PARAMS[config.variant]:
-        raise ValidationError(
-            f"variant {config.variant!r} has no parameter {config.param!r}; "
-            f"expected one of {list(FACTORY_PARAMS[config.variant])}"
-        )
+    if not isinstance(config.fixed, dict) or not all(isinstance(name, str) for name in config.fixed):
+        raise ValidationError(f"sweep fixed parameters must be a dict keyed by parameter name, got {config.fixed!r}")
     if not all(isinstance(edge, numbers.Real) for edge in (config.start, config.stop)):
         raise ValidationError(
             f"sweep grid edges must be real numbers, got {config.start!r} and {config.stop!r}"
@@ -295,6 +293,8 @@ def _validate_sweep(config: SweepConfig) -> None:
         raise ValidationError(f"parameter {config.param!r} is swept, so it cannot also be fixed")
     if not 2 <= _index(config.points, "sweep grid point count") <= MAX_COUNT:
         raise ValidationError(f"sweep needs 2 to {MAX_COUNT} grid points, got {config.points}")
+    if not isinstance(config.measures, (tuple, list)) or not all(isinstance(m, str) for m in config.measures):
+        raise ValidationError(f"sweep measures must be a tuple of column names, got {config.measures!r}")
     if not config.measures:
         raise ValidationError("sweep needs at least one measure column")
     unknown = [m for m in config.measures if m != "sum" and m not in MEASURES]

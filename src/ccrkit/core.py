@@ -39,8 +39,8 @@ JACOBI_MAX_SWEEPS = 100  # sweep budget before purify's Jacobi solver gives up
 PURITY_ATOL = 1e-10  # |Tr rho^2 - 1| window for purity preconditions
 RANK_CUTOFF = 1e-12  # eigenvalues above this count toward the purification rank
 # Largest total dimension accepted: the CLI refuses larger state files and
-# audit signatures before it reads or samples any amplitude, and no matrix read
-# from a PureState's amplitudes (_reduced_matrix) is larger on a side.
+# audit signatures before it reads or samples any amplitude, and no matrix formed
+# from a PureState's amplitudes (density_from_pure, _reduced_matrix) is larger on a side.
 MAX_TOTAL_DIM = 4096
 
 
@@ -88,6 +88,14 @@ class DimensionSignature:
         return len(self.dims)
 
 
+def _complex_array(values, what: str) -> np.ndarray:
+    """``values`` as a new complex128 array; non-number entries and ragged nestings raise ValidationError."""
+    try:
+        return np.array(values, dtype=np.complex128)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{what} must be an array of complex numbers: {exc}") from None
+
+
 def _as_signature(signature) -> DimensionSignature:
     if isinstance(signature, DimensionSignature):
         return signature
@@ -101,7 +109,7 @@ class PureState:
 
     def __init__(self, signature, amplitudes):
         signature = _as_signature(signature)
-        amps = np.array(amplitudes, dtype=np.complex128)
+        amps = _complex_array(amplitudes, "amplitude vector")
         if amps.shape != (signature.total,):
             raise ValidationError(
                 f"amplitude vector has shape {amps.shape}, expected ({signature.total},) "
@@ -132,7 +140,7 @@ class DensityOperator:
 
     def __init__(self, signature, matrix):
         signature = _as_signature(signature)
-        mat = np.array(matrix, dtype=np.complex128)
+        mat = _complex_array(matrix, "matrix")
         d = signature.total
         if mat.shape != (d, d):
             raise ValidationError(
@@ -184,7 +192,10 @@ def _require_capacity(total: int) -> None:
 
 
 def density_from_pure(psi: PureState) -> DensityOperator:
-    """Rank-one projector |psi><psi| as a density operator."""
+    """Rank-one projector |psi><psi| as a density operator, the one place it is formed from amplitudes.
+
+    A total dimension over ``MAX_TOTAL_DIM`` raises CapacityError before anything is allocated."""
+    _require_capacity(psi.signature.total)
     return _density_unchecked(psi.signature, np.outer(psi.amplitudes, psi.amplitudes.conj()))
 
 
@@ -251,13 +262,15 @@ def _entropy(p: np.ndarray) -> float:
 def _reduced_matrix(state: PureState | DensityOperator, keep: Sequence[int]) -> np.ndarray:
     """partial_trace's Hermitian matrix for sorted, in-range ``keep``: the one reader of a state's matrix.
 
-    A whole DensityOperator gives its own; a PureState gives M M^dag, M its (keep x rest)
-    amplitude matrix, and raises CapacityError if that is over ``MAX_TOTAL_DIM`` on a side.
+    Keeping every subsystem gives the state's own matrix: a DensityOperator's, or a
+    PureState's projector from ``density_from_pure``.  A proper reduction of a PureState
+    is M M^dag, M its (keep x rest) amplitude matrix.  Either raises CapacityError if the
+    matrix is over ``MAX_TOTAL_DIM`` on a side.
     """
     dims = state.signature.dims
     n = len(dims)
-    if isinstance(state, DensityOperator) and len(keep) == n:
-        return state.matrix
+    if len(keep) == n:
+        return (state if isinstance(state, DensityOperator) else density_from_pure(state)).matrix
     k = math.prod([dims[m] for m in keep])
     if isinstance(state, PureState):
         _require_capacity(k)
@@ -282,13 +295,13 @@ def partial_trace(rho: PureState | DensityOperator, keep: Iterable[int]) -> Dens
     Parameters
     ----------
     rho : PureState or DensityOperator
-        State over n subsystems.  A PureState is reshaped to the
-        (keep x rest) amplitude matrix M and reduced as M M^dag, in
-        O(k^2 rest) work without forming the D x D density.
+        State over n subsystems.  For a proper subset ``keep``, a PureState
+        is reshaped to the (keep x rest) amplitude matrix M and reduced as
+        M M^dag, in O(k^2 rest) work without forming the D x D density.
     keep : iterable of int
         Indices of the subsystems to retain; they stay in their original
         relative order.  Keeping the full set of a DensityOperator returns
-        ``rho`` itself (of a PureState, its projector |psi><psi|).
+        ``rho`` itself; of a PureState, the projector of ``density_from_pure``.
 
     Returns
     -------

@@ -37,8 +37,15 @@ def _check_unit_interval(name: str, value) -> float:
     return value
 
 
+def _check_complex(name: str, value) -> complex:
+    try:
+        return complex(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"parameter {name} must be a number, got {value!r}") from None
+
+
 def _check_real(name: str, value) -> float:
-    value = complex(value)
+    value = _check_complex(name, value)
     if value.imag != 0.0:
         raise ValidationError(f"parameter {name} must be real, got {value!r}")
     return value.real
@@ -94,7 +101,7 @@ def qutrit_jb(x: float) -> PureState:
 
 def ghz(a000: complex, a111: complex) -> PureState:
     """Three-qubit a000|0,0,0> + a111|1,1,1>, normalized at construction."""
-    pair = _normalized(np.array([a000, a111], dtype=np.complex128))
+    pair = _normalized(np.array([_check_complex("a000", a000), _check_complex("a111", a111)]))
     return _basis_state((2, 2, 2), dict(zip((0b000, 0b111), pair)))
 
 
@@ -121,7 +128,8 @@ def acin(lambda1, lambda2, lambda3, lambda4) -> PureState:
     Coefficients may be complex (relative phases matter for the non-local
     coherence of this family) and are normalized at construction.
     """
-    lam = _normalized(np.array([lambda1, lambda2, lambda3, lambda4], dtype=np.complex128))
+    lam = [_check_complex(f"lambda{i}", v) for i, v in enumerate((lambda1, lambda2, lambda3, lambda4), 1)]
+    lam = _normalized(np.array(lam))
     return _basis_state((2, 2, 2), dict(zip((0b000, 0b011, 0b100, 0b111), lam)))
 
 
@@ -141,11 +149,16 @@ _FACTORIES = {
 FACTORY_PARAMS = {name: tuple(inspect.signature(factory).parameters) for name, factory in _FACTORIES.items()}
 
 
+def _variant_params(variant) -> tuple[str, ...]:
+    """FACTORY_PARAMS[variant]; a variant that is not one of its names raises ValidationError."""
+    if not isinstance(variant, str) or variant not in FACTORY_PARAMS:
+        raise ValidationError(f"unknown state variant {variant!r}; expected one of {sorted(FACTORY_PARAMS)}")
+    return FACTORY_PARAMS[variant]
+
+
 def build(variant: str, **params) -> PureState | DensityOperator:
     """Build a named example state; see FACTORY_PARAMS for expected parameters."""
-    if variant not in _FACTORIES:
-        raise ValidationError(f"unknown state variant {variant!r}; expected one of {sorted(_FACTORIES)}")
-    names = FACTORY_PARAMS[variant]
+    names = _variant_params(variant)
     missing = [name for name in names if name not in params]
     if missing:
         raise ValidationError(f"variant {variant!r} is missing parameters {missing}")

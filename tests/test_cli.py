@@ -39,7 +39,7 @@ from ccrkit.cli import (
     parse_state_file,
     render_sweep_csv,
 )
-from ccrkit.states import FACTORY_PARAMS, acin, haar_random_pure, w_state
+from ccrkit.states import FACTORY_PARAMS, acin, build, haar_random_pure, w_state
 from helpers import complex_from_pairs, random_pure_vector, serialize_state, tensor_product
 
 
@@ -722,6 +722,27 @@ def test_library_sweep_refuses_a_non_integer_count_and_a_non_real_edge(change, m
     with pytest.raises(ValidationError) as exc:
         render_sweep_csv(config)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: render_sweep_csv(SweepConfig(["w"], "p", 0.0, 1.0, 3, ("P_hs",))), "unknown state variant ['w']; "),
+    (lambda: build(["w"], p=0.5), "unknown state variant ['w']; "),
+    (lambda: build(None, p=0.5), "unknown state variant None; "),
+    (lambda: render_sweep_csv(SweepConfig("w", "p", 0.0, 1.0, 3, ("P_hs",), None)),
+     "sweep fixed parameters must be a dict keyed by parameter name, got None"),
+    (lambda: render_sweep_csv(SweepConfig("w", "p", 0.0, 1.0, 3, ("P_hs",), {1: 0.5})),
+     "sweep fixed parameters must be a dict keyed by parameter name, got {1: 0.5}"),
+    (lambda: render_sweep_csv(SweepConfig("w", "p", 0.0, 1.0, 3, "P_hs")),
+     "sweep measures must be a tuple of column names, got 'P_hs'"),
+    (lambda: render_sweep_csv(SweepConfig("w", "p", 0.0, 1.0, 3, (["P_hs"],))),
+     "sweep measures must be a tuple of column names, got (['P_hs'],)"),
+], ids=["sweep-list-variant", "build-list-variant", "build-none-variant", "fixed-none", "fixed-int-key",
+        "measures-str", "measures-list-entry"])
+def test_library_sweep_refuses_malformed_variant_fixed_and_measures(call, message):
+    # The CLI builds these fields itself; a library caller gets ValidationError, not TypeError.
+    with pytest.raises(ValidationError) as exc:
+        call()
+    assert str(exc.value).startswith(message)
 
 
 def _neumaier_sum(values, start=0):

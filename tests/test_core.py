@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from helpers import brute_partial_trace, dephased, random_density_matrix, random_pure_vector, tensor_product
 
+import ccrkit.ccr
 import ccrkit.core
 from ccrkit import (
     CapacityError,
@@ -29,7 +30,7 @@ from ccrkit import (
     von_neumann_entropy,
 )
 from ccrkit.core import _entropy, _jacobi_eigh
-from ccrkit.states import acin, bipartite_x, ghz, w_state, werner_like
+from ccrkit.states import acin, bipartite_x, five_term, ghz, w_state, werner_like
 
 
 def qubit_zero():
@@ -329,6 +330,35 @@ MALFORMED_STRUCTURE = {
 def test_malformed_structure_raises_validation_error(call):
     with pytest.raises(ValidationError):
         call()
+
+
+#: Library calls given an entry that is not a number, a ragged matrix or a balance
+#: that is not a function; numpy or Python itself raised ValueError or TypeError on each.
+UNREADABLE_INPUTS = {
+    "pure-str": lambda: PureState((2,), "ab"),
+    "density-str": lambda: DensityOperator((2,), "ab"),
+    "density-ragged": lambda: DensityOperator((2,), [[1, 0], [0]]),
+    "w-str": lambda: w_state("abc"),
+    "w-none": lambda: w_state(None),
+    "ghz-str": lambda: ghz("x", 1),
+    "five-term-str": lambda: five_term("a", 1, 1, 1, 1),
+    "acin-list": lambda: acin([1], 1, 1, 1),
+    "audit-str-balance": lambda: audit((2, 2), 5, 3, "hs"),
+}
+
+
+@pytest.mark.parametrize("call", UNREADABLE_INPUTS.values(), ids=UNREADABLE_INPUTS)
+def test_unreadable_inputs_raise_validation_error(call, monkeypatch):
+    # The audit refuses its balance before it draws a state.
+    monkeypatch.setattr(ccrkit.ccr, "haar_random_pure", lambda *args: pytest.fail("a state was drawn"))
+    with pytest.raises(ValidationError, match="must be"):
+        call()
+
+
+def test_numeric_strings_are_still_read_as_numbers():
+    assert werner_like("0.5", 0.5).matrix.tobytes() == werner_like(0.5, 0.5).matrix.tobytes()
+    assert ghz("0.6", "0.8").amplitudes.tobytes() == ghz(0.6, 0.8).amplitudes.tobytes()
+    assert PureState((2,), ["1", "0"]).amplitudes.tobytes() == PureState((2,), [1, 0]).amplitudes.tobytes()
 
 
 # ---------------------------------------------------------------------------

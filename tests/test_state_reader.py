@@ -1,6 +1,8 @@
 """The one state reader: every public function that takes a state takes a
 PureState, reads its matrix through ``core._reduced_matrix``, and gives what it
-gives on ``density_from_pure`` of that state."""
+gives on ``density_from_pure`` of that state.  A function that reads the whole
+state gives the same bits, since that read is ``density_from_pure``'s projector;
+one that reduces gives it to roundoff."""
 
 import inspect
 
@@ -76,19 +78,31 @@ CALLS = {
     "ccr_inequality_gap": lambda s: [ccr_inequality_gap(s, t) for t in range(3)],
 }
 
-# The reader's projector (M M^dag, Hermitian-symmetrised) and density_from_pure's
-# outer product differ in their last bits.  Most functions keep that within
-# 1e-15.  The D^2-term l1 forms and the entropies of a projector (-x ln x over
-# D - 1 eigenvalues of roundoff size x) do not: over 400 Haar (2, 3, 2) states
-# (seed 1) their worst deviation was 9.8e-15, so they get 1e-13.
-ILL_CONDITIONED = {
+#: The functions that read the whole state, which is density_from_pure's projector
+#: on both sides, so they give the same bits.
+WHOLE_STATE = {
+    "purity",
+    "linear_entropy",
     "von_neumann_entropy",
+    "purify",
+    "predictability_hs",
+    "predictability_vn",
     "predictability_l1",
+    "coherence_hs",
     "coherence_l1",
     "coherence_re",
-    "correlated_coherence",
-    "ccr_vn",
+    "concurrence_generalized",
+    "satisfies_offdiag_conditions",
 }
+
+# A reduction of a PureState (M M^dag, Hermitian-symmetrised) and of its density
+# (a partial trace of the projector) differ in their last bits.  Most functions
+# that reduce keep that within 1e-15.  Over 400 Haar (2, 3, 2) states (seed 1),
+# correlated_coherence, whose relative-entropy form takes -x ln x over the
+# roundoff-size eigenvalues of a rank-2 reduction onto two subsystems, deviated
+# by up to 7.6e-15, and ccr_vn's entropies by 7.8e-16, too near 1e-15 to hold
+# there; both get 1e-13.
+ILL_CONDITIONED = {"correlated_coherence", "ccr_vn"}
 
 
 def state_taking_functions():
@@ -117,15 +131,24 @@ def test_pure_state_matches_its_density(name, label):
     psi = STATES[label]
     got = np.asarray(CALLS[name](psi), dtype=complex)
     want = np.asarray(CALLS[name](density_from_pure(psi)), dtype=complex)
-    tol = 1e-13 if name in ILL_CONDITIONED else 1e-15
-    assert np.max(np.abs(got - want)) <= tol
+    if name in WHOLE_STATE:
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert np.max(np.abs(got - want)) <= (1e-13 if name in ILL_CONDITIONED else 1e-15)
+
+
+@pytest.mark.parametrize("name", sorted(WHOLE_STATE))
+def test_whole_state_function_keeps_its_bits_over_a_haar_ensemble(name):
+    for psi in haar_random_pure((2, 3, 2), 400, seed=1):
+        got = np.asarray(CALLS[name](psi), dtype=complex)
+        assert got.tobytes() == np.asarray(CALLS[name](density_from_pure(psi)), dtype=complex).tobytes()
 
 
 @pytest.mark.parametrize("label", sorted(STATES))
 def test_whole_state_read_of_a_pure_state_is_its_reduction_to_every_subsystem(label):
     psi = STATES[label]
     whole = partial_trace(psi, range(len(psi.dims)))
-    assert _state_matrix(psi).tobytes() == whole.matrix.tobytes()
+    assert _state_matrix(psi).tobytes() == whole.matrix.tobytes() == density_from_pure(psi).matrix.tobytes()
     # So a whole-state function gives on the PureState the bits it gives on that density.
     for fn in (purity, von_neumann_entropy, coherence_re, predictability_l1):
         assert fn(psi) == fn(whole)
@@ -144,6 +167,13 @@ def test_whole_state_read_of_a_pure_state_is_capped():
         coherence_hs(psi)
     # A reduction inside the cap is still read from the amplitudes.
     assert partial_trace(psi, [0, 1]).matrix[0, 0] == 1.0
+
+
+def test_density_from_pure_of_an_over_cap_state_raises_before_it_allocates(monkeypatch):
+    psi = PureState((2,) * 13, np.eye(1, 2**13, 0)[0])
+    monkeypatch.setattr(np, "outer", lambda *args: pytest.fail("the D x D projector was formed"))
+    with pytest.raises(CapacityError, match="total dimension 8192 exceeds"):
+        density_from_pure(psi)
 
 
 def test_reader_is_the_only_reader_of_a_matrix():
