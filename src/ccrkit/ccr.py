@@ -156,6 +156,9 @@ def ccr_inequality_gap(rho_any: PureState | DensityOperator, target: int) -> flo
     return float(_offdiag_entries(p[:, None] * p - _partition_blocks(rho_any, target, m)).sum())
 
 
+_NOT_A_BALANCE = "balance must be a function such as ccr_hs, got {!r}"
+
+
 @dataclass(frozen=True, slots=True)
 class AuditResult:
     """An ``audit``'s check count, max and mean |residual|, and the (state index, target) of the first
@@ -171,10 +174,11 @@ def audit(dims, count: int, seed: int, balance: Callable[[PureState, int], CCRRe
     """``balance`` on every target of each ``haar_random_pure(dims, count, seed)`` state, in order.
 
     A ``balance`` that is not callable, fewer than 2 subsystems, an over-cap ``dims``, a bad ``count`` or a
-    negative ``seed`` raise before any state is drawn.
+    negative ``seed`` raise before any state is drawn.  Another function (a measure, say) is refused with
+    ValidationError by the type of its first result; an error it raises itself is not caught.
     """
     if not callable(balance):
-        raise ValidationError(f"balance must be a function such as ccr_hs, got {balance!r}")
+        raise ValidationError(_NOT_A_BALANCE.format(balance))
     signature = DimensionSignature(dims)
     if len(signature) < 2:
         raise ValidationError(f"CCR auditing needs at least 2 subsystems, got dims {signature.dims}")
@@ -182,7 +186,10 @@ def audit(dims, count: int, seed: int, balance: Callable[[PureState, int], CCRRe
     worst, max_residual, total = (0, 0), 0.0, 0.0
     for index, psi in enumerate(haar_random_pure(signature, count, seed)):
         for target in range(len(signature)):
-            residual = abs(balance(psi, target).residual)
+            report = balance(psi, target)
+            if index == target == 0 and not isinstance(report, CCRReport):
+                raise ValidationError(_NOT_A_BALANCE.format(balance))
+            residual = abs(report.residual)
             if residual > max_residual:
                 worst, max_residual = (index, target), residual
             total += residual

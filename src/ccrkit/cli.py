@@ -1,27 +1,14 @@
 """Command-line front end.
 
 Three subcommands: ``check`` evaluates one complementarity balance and
-exits 0 when the residual is below tolerance, ``sweep`` tabulates measures
-over a parameter grid to CSV, and ``audit`` runs a balance over a
-Haar-random ensemble.  Exit codes: 0 pass, 1 residual over tolerance,
-2 input error (including a malformed flag value such as ``--points abc``
-and an unknown flag, both reported as ``error: ...`` without the usage
-text, NaN or infinite state data or factory parameters, a factory flag
-that is not 're' or 're:im', a w, x or p that is not real or not in
-[0, 1], a factory flag the chosen factory does not take, any
-factory flag given with ``--file``, a swept parameter also given as a
-fixed flag, a state-file entry that is not a JSON number (booleans and
-numeric strings are refused) or is too large for a float, a non-finite
-sweep edge, a sweep measure column given twice, a sweep whose only
-column is ``sum``, a negative audit seed, a sweep ``--points`` or audit
-``--count`` above ``MAX_COUNT``, a tolerance that is not a finite
-number >= 0, a state file or audit signature whose total dimension
-exceeds ``core.MAX_TOTAL_DIM``, a target out of range, and ``hs`` or ``vn``
-or a sweep column of ``PARTNER_COLUMNS`` on a one-subsystem state, pure or
-mixed, since the partner check comes before the purity check), 3
-precondition error (a mixed state of two or more subsystems fed to a
-pure-only flavor), 4 numeric failure (an eigenvalue solve that fails, or a
-measure that comes out NaN or infinite).
+exits 0 when |residual| is at most the tolerance, ``sweep`` tabulates
+measures over a parameter grid to CSV, and ``audit`` runs a balance over a
+Haar-random ensemble.  Exit codes: 0 pass, 1 residual over tolerance; on a
+CcrkitError or OSError ``main`` prints one ``error: ...`` line and returns
+the code ``_EXIT_CODES`` gives the error's class: 3 for a PreconditionError
+(a mixed state of two or more subsystems fed to a pure-only flavor), 4 for
+a NumericError, and 2 for any other, an input error.  README's CLI section
+lists the inputs refused with exit 2.
 
 ``check`` and ``audit`` hand pure states to the balances as amplitudes;
 neither builds the D x D density |psi><psi| for pure input.  ``audit``
@@ -65,7 +52,7 @@ from .core import (
     purity,
     von_neumann_entropy,
 )
-from .errors import CapacityError, NumericError, PreconditionError, ValidationError
+from .errors import CcrkitError, NumericError, PreconditionError, ValidationError
 from .measures import (
     coherence_hs,
     coherence_l1,
@@ -96,6 +83,8 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
 EXIT_NUMERIC = 4
+# The exit code of each error class that is not an input error; ``main`` gives EXIT_INPUT to the rest.
+_EXIT_CODES = {PreconditionError: EXIT_PRECONDITION, NumericError: EXIT_NUMERIC}
 
 _FLAVOR_FUNCS = {"hs": ccr_hs, "vn": ccr_vn, "mixedness": ccr_mixedness}
 
@@ -116,8 +105,8 @@ def parse_state_file(data: bytes) -> PureState | DensityOperator:
     or "density"), and ``data``: a vector of [re, im] pairs for pure states,
     or an array of such rows for density matrices.  Every re and im must be
     a JSON number; booleans and numeric strings are refused.  A ``dims``
-    whose product exceeds ``core.MAX_TOTAL_DIM`` raises CapacityError before
-    ``data`` is read.
+    whose product exceeds ``core.MAX_TOTAL_DIM``, or with more than
+    ``core.MAX_SUBSYSTEMS`` entries, raises CapacityError before ``data`` is read.
     """
     with _gc_paused():
         signature, kind, values = _read_state_doc(data)
@@ -142,9 +131,11 @@ def _gc_paused():
 
 def _read_state_doc(data: bytes) -> tuple[DimensionSignature, str, np.ndarray]:
     """The signature, kind and complex entries of a state file; the parsed JSON is freed on return."""
+    # A bad byte, bad JSON and an integer past Python's 4300-digit limit raise ValueError;
+    # a nesting past the recursion limit raises RecursionError.
     try:
         doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValidationError(f"state file is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError("state file must be a JSON object")
@@ -405,7 +396,7 @@ def cmd_check(args) -> int:
     state = _load_state(args)
     report = _FLAVOR_FUNCS[args.flavor](state, args.target)
     _print_report(report, args.json)
-    return EXIT_OK if abs(report.residual) < tolerance else EXIT_FAIL
+    return EXIT_OK if abs(report.residual) <= tolerance else EXIT_FAIL
 
 
 def cmd_sweep(args) -> int:
@@ -434,7 +425,7 @@ def cmd_audit(args) -> int:
     if not 1 <= args.count <= MAX_COUNT:
         raise ValidationError(f"--count must be between 1 and {MAX_COUNT}, got {args.count}")
     result = audit(dims, args.count, args.seed, _FLAVOR_FUNCS[args.flavor])
-    passed = result.max_residual < tolerance
+    passed = result.max_residual <= tolerance
     print(
         f"audit dims={args.dims} flavor={args.flavor} states={args.count} seed={args.seed} "
         f"checks={result.checks}"
@@ -521,12 +512,6 @@ def main(argv=None) -> int:
     try:
         args = _PARSER.parse_args(argv)
         return args.func(args)
-    except PreconditionError as exc:
+    except (CcrkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except (ValidationError, CapacityError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return _EXIT_CODES.get(type(exc), EXIT_INPUT)

@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 
-# Numeric windows and the capacity limit, read only inside this module.
+# Numeric windows and the capacity limits, read only inside this module.
 NORM_ATOL = 1e-12  # validation window for normalization / trace / Hermiticity
 PSD_FLOOR = -1e-10  # smallest eigenvalue allowed before a matrix is rejected
 JACOBI_OFFDIAG = 1e-13  # off-diagonal Frobenius norm at which purify's Jacobi solver stops
@@ -42,6 +42,9 @@ RANK_CUTOFF = 1e-12  # eigenvalues above this count toward the purification rank
 # audit signatures before it reads or samples any amplitude, and no matrix formed
 # from a PureState's amplitudes (density_from_pure, _reduced_matrix) is larger on a side.
 MAX_TOTAL_DIM = 4096
+# Most subsystems a signature may have: a density reshapes to 2n axes, which numpy 1.x
+# caps at 32, and its reduction's einsum takes only axis labels below 52.
+MAX_SUBSYSTEMS = 16
 
 
 def _index(value, what: str) -> int:
@@ -66,7 +69,7 @@ class DimensionSignature:
     """Ordered subsystem dimensions (d_1, ..., d_n) of a tensor-product space.
 
     Unit entries are allowed so that trivial (rank-one ancilla) subsystems can
-    be represented.
+    be represented.  More than ``MAX_SUBSYSTEMS`` entries raise CapacityError.
     """
 
     dims: tuple[int, ...]
@@ -78,6 +81,8 @@ class DimensionSignature:
             raise ValidationError("dimension signature must be nonempty")
         if any(d < 1 for d in dims):
             raise ValidationError(f"subsystem dimensions must be positive, got {dims}")
+        if len(dims) > MAX_SUBSYSTEMS:
+            raise CapacityError(f"{len(dims)} subsystems exceed the configured maximum {MAX_SUBSYSTEMS}")
 
     @property
     def total(self) -> int:

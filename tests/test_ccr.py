@@ -317,6 +317,21 @@ def test_audit_refuses_before_any_balance_runs(dims, count, seed, error, message
         audit(dims, count, seed, refuse)
 
 
+@pytest.mark.parametrize("fn", [ccr_inequality_gap, nonlocal_coherence_hs_direct])
+def test_audit_refuses_a_function_that_is_not_a_balance(fn):
+    # Refused by the type of its first result, so the function runs once.
+    calls = []
+
+    def counting(state, target):
+        calls.append(target)
+        return fn(state, target)
+
+    message = f"balance must be a function such as ccr_hs, got {counting!r}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        audit((2, 2), 3, 0, counting)
+    assert calls == [0]
+
+
 # ---------------------------------------------------------------------------
 # inequality gap
 

@@ -15,6 +15,7 @@ import ccrkit.core
 import ccrkit.measures
 from ccrkit import (
     CapacityError,
+    CcrkitError,
     DensityOperator,
     NumericError,
     PreconditionError,
@@ -357,6 +358,34 @@ def test_one_cap_governs_tensor_product_state_files_and_audits(tmp_path, monkeyp
     assert "exceeds the configured maximum 8" in capsys.readouterr().err
 
 
+#: One past the subsystem limit; a density reduction's einsum out of axis labels; past numpy's 64 axes.
+WIDE_SIGNATURES = [(2,) * 17, (1,) * 26 + (2,), (1,) * 70 + (2,)]
+
+
+@pytest.mark.parametrize("dims", WIDE_SIGNATURES, ids=["17", "27", "71"])
+@pytest.mark.parametrize("route", ["constructor", "state-file", "audit"])
+def test_a_signature_over_16_subsystems_is_refused(tmp_path, capsys, route, dims):
+    message = f"{len(dims)} subsystems exceed the configured maximum 16"
+    if route == "constructor":
+        with pytest.raises(CapacityError, match=f"^{message}$"):
+            DensityOperator(dims, np.eye(2) / 2)
+        with pytest.raises(CapacityError, match=f"^{message}$"):
+            PureState(dims, [1, 0])
+        return
+    if route == "state-file":
+        doc = {"dims": list(dims), "kind": "density", "data": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]}
+        argv = ["check", "--file", write_json(tmp_path / "wide.json", doc), "--flavor", "mixedness"]
+    else:
+        argv = ["audit", "--dims", ",".join(map(str, dims)), "--count", "1", "--flavor", "hs"]
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_density_of_16_subsystems_reduces():
+    rho = DensityOperator((1,) * 14 + (2, 2), np.eye(4) / 4)
+    assert np.array_equal(partial_trace(rho, [15]).matrix, np.eye(2) / 2)
+
+
 @pytest.mark.parametrize(
     "rows, message",
     [
@@ -396,6 +425,32 @@ def test_check_and_audit_never_build_the_density_of_a_pure_state(tmp_path, monke
         assert main(["check", "--file", path, "--flavor", flavor, "--target", "1"]) == EXIT_OK
         assert main(["check", "--factory", "w", "--p", "0.3", "--flavor", flavor]) == EXIT_OK
         assert main(f"audit --dims 3,2,4 --count 5 --seed 1 --flavor {flavor}".split()) == EXIT_OK
+
+
+@pytest.mark.parametrize("error, code", [
+    (CcrkitError, EXIT_INPUT),
+    (ValidationError, EXIT_INPUT),
+    (CapacityError, EXIT_INPUT),
+    (PreconditionError, EXIT_PRECONDITION),
+    (NumericError, EXIT_NUMERIC),
+    (FileNotFoundError, EXIT_INPUT),
+])
+def test_main_maps_each_error_class_to_its_exit_code(monkeypatch, capsys, error, code):
+    def fail(state, target):
+        raise error("refused")
+
+    monkeypatch.setitem(ccrkit.cli._FLAVOR_FUNCS, "hs", fail)
+    assert main("check --factory bipartite-x --x 0.5 --flavor hs".split()) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: refused\n"
+
+
+def test_a_residual_equal_to_the_tolerance_passes(capsys):
+    assert main("check --factory bipartite-x --x 0 --flavor hs --tolerance 0".split()) == EXIT_OK
+    assert "residual  0.0\n" in capsys.readouterr().out
+    assert main("audit --dims 2,2 --count 3 --flavor mixedness --tolerance 0".split()) == EXIT_FAIL
+    assert "max|residual|=1.110e-16 " in capsys.readouterr().out
 
 
 def test_numeric_failure_exits_4(monkeypatch, capsys):
