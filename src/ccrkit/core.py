@@ -122,8 +122,10 @@ class PureState:
             )
         if not np.all(np.isfinite(amps)):
             raise ValidationError("amplitude vector has NaN or infinite entries")
-        norm_sq = float(np.vdot(amps, amps).real)
-        # Entries past about 1e154 make the norm NaN, which this comparison refuses.
+        # Real squares, not BLAS's vdot, whose bits and overflow (nan or inf) follow the
+        # CPU kernel.  Entries past about 1e154 make this inf, which the check refuses.
+        with np.errstate(over="ignore"):
+            norm_sq = float(np.square(amps.view(np.float64)).sum())
         if not abs(norm_sq - 1.0) <= NORM_ATOL:
             raise ValidationError(f"state vector is not normalized: sum |a|^2 = {norm_sq!r}")
         amps.setflags(write=False)

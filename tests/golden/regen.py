@@ -6,9 +6,12 @@ Run from the repository root:
 
 It writes the three input state files into ``tests/golden/inputs/`` and,
 for every command of ``BATTERY``, the argv, exit code, stdout and stderr
-into ``tests/golden/golden.json``, together with the numpy version that
-made them; a sweep also records the CSV text it wrote, or null when it
-wrote none.  Commands name their files by relative path, so they run in a
+into ``tests/golden/golden.json``, together with the key of the arithmetic
+that made them: the numpy version and ``arithmetic()``, a digest of what
+numpy's complex matmul, abs, log, eigvalsh and vdot give on this CPU.
+``tests/test_golden.py`` compares bytes only under that same key.  A sweep
+also records the CSV text it wrote, or null when it wrote none.  Commands
+name their files by relative path, so they run in a
 directory that ``stage`` has filled with ``inputs/`` and the malformed
 state files of ``BAD_FILES``.  The ``library`` section holds what the CLI
 cannot print: for each state of ``library_states``, the ``repr`` of the
@@ -21,6 +24,7 @@ moved and why.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -200,6 +204,44 @@ def run(argv: list[str]) -> dict:
     return result
 
 
+def battery(directory: Path) -> list[dict]:
+    """``run`` every command of ``BATTERY`` in ``directory``, once ``stage`` has filled it."""
+    stage(directory)
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        return [run(argv) for argv in BATTERY]
+    finally:
+        os.chdir(cwd)
+
+
+def arithmetic() -> str:
+    """A digest of the bytes that the numpy operations the battery rests on give here.
+
+    The bits of complex ``matmul`` follow the BLAS kernel, and those of complex
+    ``abs`` and ``log`` numpy's SIMD dispatch; ``eigvalsh`` and ``vdot`` follow
+    both.  So the digest covers each of them, on exact inputs, with the k x rest
+    blocks of a pure state's reduction M M^dag.  ``tests/test_golden.py``
+    compares bytes only where the numpy version and this digest are golden's.
+    """
+    n = 4 * 2048
+    grid = ((np.arange(2 * n) * 7919) % 1013 - 506) / 1013.0
+    z = grid[:n] + 1j * grid[n:]
+    digest = hashlib.sha256()
+    for k in (1, 2, 3, 4):
+        for rest in (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 64, 128, 512, 2048):
+            m = z[: k * rest].reshape(k, rest)
+            digest.update((m @ m.conj().T).tobytes())
+    magnitudes = np.abs(z)
+    digest.update(magnitudes.tobytes())
+    digest.update(np.log(magnitudes[magnitudes > 0]).tobytes())
+    for d in (2, 3, 4, 6, 8, 9, 12, 16, 32):
+        m = z[: d * d].reshape(d, d)
+        digest.update(np.linalg.eigvalsh(m @ m.conj().T).tobytes())
+    digest.update(np.vdot(z, z).tobytes())
+    return digest.hexdigest()[:16]
+
+
 def _pairs(values: np.ndarray) -> list:
     if values.ndim == 1:
         return [[float(z.real), float(z.imag)] for z in values]
@@ -260,15 +302,9 @@ def write_inputs() -> None:
 def main_regen() -> None:
     write_inputs()
     with tempfile.TemporaryDirectory() as work:
-        stage(Path(work))
-        cwd = os.getcwd()
-        os.chdir(work)
-        try:
-            commands = [run(argv) for argv in BATTERY]
-        finally:
-            os.chdir(cwd)
-    doc = {"numpy": np.__version__, "python": sys.version.split()[0], "commands": commands, "library": library(),
-           "factories": factories()}
+        commands = battery(Path(work))
+    doc = {"numpy": np.__version__, "arithmetic": arithmetic(), "python": sys.version.split()[0],
+           "commands": commands, "library": library(), "factories": factories()}
     GOLDEN.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(commands)} commands, {len(doc['library'])} library states and "
           f"{len(doc['factories'])} factory states to {GOLDEN.relative_to(HERE.parents[1])}")

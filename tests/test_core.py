@@ -71,9 +71,9 @@ def test_pure_state_rejects_unnormalized():
         PureState((2,), [1.0, 1.0])
 
 
-def test_pure_state_rejects_a_norm_that_overflows_to_nan():
-    # Both parts past 1.4e154 make sum |a|^2 inf - inf = NaN, which is refused, not passed.
-    with pytest.raises(ValidationError, match=r"not normalized: sum \|a\|\^2 = nan$"):
+def test_pure_state_rejects_a_norm_that_overflows_to_inf():
+    # Parts past 1.4e154 overflow sum |a|^2 to inf on every CPU kernel; it is refused, not passed.
+    with pytest.raises(ValidationError, match=r"not normalized: sum \|a\|\^2 = inf$"):
         PureState((2, 2), [1e200 + 1e200j, 0, 0, 0])
 
 

@@ -27,8 +27,8 @@ FUZZ = settings(max_examples=300, deadline=None, derandomize=True, database=None
 
 EXIT_CODES = {0, 1, 2, 3, 4}
 
-#: The file whose squared norm overflows to NaN; it once passed ``--flavor vn``.
-NAN_NORM_FILE = b'{"dims":[2,2],"kind":"pure","data":[[1e200,1e200],[0,0],[0,0],[0,0]]}'
+#: The file whose squared norm overflows; it once passed ``--flavor vn``.
+OVERFLOW_NORM_FILE = b'{"dims":[2,2],"kind":"pure","data":[[1e200,1e200],[0,0],[0,0],[0,0]]}'
 #: A ``data`` nested past Python's recursion limit, and an entry past its 4300-digit integer limit:
 #: the strategies below draw neither, and each once ended in a traceback.
 DEEP_FILE = b'{"dims":[2],"kind":"pure","data":' + b"[" * 5000 + b"]" * 5000 + b"}"
@@ -152,8 +152,8 @@ def new_path(tmp_path_factory):
 
 @FUZZ
 @given(data=FILES, flavor=st.sampled_from(["hs", "vn", "mixedness"]), target=st.integers(0, 2))
-@example(data=NAN_NORM_FILE, flavor="vn", target=0)
-@example(data=NAN_NORM_FILE, flavor="hs", target=1)
+@example(data=OVERFLOW_NORM_FILE, flavor="vn", target=0)
+@example(data=OVERFLOW_NORM_FILE, flavor="hs", target=1)
 @example(data=DEEP_FILE, flavor="hs", target=0)
 @example(data=LONG_INTEGER_FILE, flavor="mixedness", target=0)
 def test_check_file_ends_in_an_exit_code(new_path, data, flavor, target):
