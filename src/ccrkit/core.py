@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -120,14 +120,7 @@ class PureState:
                 f"amplitude vector has shape {amps.shape}, expected ({signature.total},) "
                 f"for signature {signature.dims}"
             )
-        if not np.all(np.isfinite(amps)):
-            raise ValidationError("amplitude vector has NaN or infinite entries")
-        # Real squares, not BLAS's vdot, whose bits and overflow (nan or inf) follow the
-        # CPU kernel.  Entries past about 1e154 make this inf, which the check refuses.
-        with np.errstate(over="ignore"):
-            norm_sq = float(np.square(amps.view(np.float64)).sum())
-        if not abs(norm_sq - 1.0) <= NORM_ATOL:
-            raise ValidationError(f"state vector is not normalized: sum |a|^2 = {norm_sq!r}")
+        _check_amplitudes(amps)
         amps.setflags(write=False)
         self.signature = signature
         self.amplitudes = amps
@@ -138,6 +131,37 @@ class PureState:
 
     def __repr__(self) -> str:
         return f"PureState(dims={self.signature.dims})"
+
+
+def _squared_norms(amps: np.ndarray) -> np.ndarray:
+    """sum |a|^2 over the last axis of complex ``amps``, one value per amplitude vector.
+
+    Real squares, not BLAS's vdot, whose bits and overflow (nan or inf) follow the CPU
+    kernel.  Entries past about 1e154 make a sum inf.
+    """
+    with np.errstate(over="ignore"):
+        return np.square(amps.view(np.float64)).sum(axis=-1)
+
+
+def _check_amplitudes(amps: np.ndarray) -> None:
+    """PureState's checks on one complex vector or a stack of them: every entry finite and every
+    sum |a|^2 within ``NORM_ATOL`` of 1, else ValidationError."""
+    if not np.isfinite(amps).all():
+        raise ValidationError("amplitude vector has NaN or infinite entries")
+    norm_sq = _squared_norms(amps)
+    normalized = abs(norm_sq - 1.0) <= NORM_ATOL
+    if not normalized.all():
+        first = float(np.extract(~normalized, norm_sq)[0])
+        raise ValidationError(f"state vector is not normalized: sum |a|^2 = {first!r}")
+
+
+def _pure_unchecked(signature: DimensionSignature, amplitudes: np.ndarray) -> PureState:
+    """Internal constructor for amplitude vectors that are valid by construction."""
+    psi = PureState.__new__(PureState)
+    amplitudes.setflags(write=False)
+    psi.signature = signature
+    psi.amplitudes = amplitudes
+    return psi
 
 
 class DensityOperator:
@@ -263,7 +287,7 @@ def _partition_blocks(state: PureState | DensityOperator, target: int, reduced: 
 def _entropy(p: np.ndarray) -> float:
     """-sum p ln p over the positive entries of p (natural log)."""
     p = p[p > 0.0]
-    return float(-(p * np.log(p)).sum())
+    return -float(np.add.reduce(p * np.log(p)))
 
 
 def _reduced_matrix(state: PureState | DensityOperator, keep: Sequence[int]) -> np.ndarray:
@@ -284,10 +308,12 @@ def _reduced_matrix(state: PureState | DensityOperator, keep: Sequence[int]) -> 
         rest = [m for m in range(n) if m not in keep]
         amps = state.amplitudes.reshape(dims).transpose([*keep, *rest]).reshape(k, -1)
         reduced = amps @ amps.conj().T
-    else:
-        bra_ket = list(range(n)) + [n + m if m in keep else m for m in range(n)]
-        out_axes = keep + [n + m for m in keep]
-        reduced = np.einsum(state.matrix.reshape(dims + dims), bra_ket, out_axes).reshape(k, k)
+        reduced += reduced.conj().T
+        reduced *= 0.5
+        return reduced
+    bra_ket = list(range(n)) + [n + m if m in keep else m for m in range(n)]
+    out_axes = keep + [n + m for m in keep]
+    reduced = np.einsum(state.matrix.reshape(dims + dims), bra_ket, out_axes).reshape(k, k)
     return 0.5 * (reduced + reduced.conj().T)
 
 

@@ -135,7 +135,9 @@ def _coherence_hs(m: np.ndarray) -> float:
 def _coherence_re(p: np.ndarray, s_vn: float) -> float:
     # p sorted descending, the order _vn_entropy sums its eigenvalues in, so the
     # first term matches S_vn of the diagonal part of m bit for bit.
-    return _entropy(np.sort(p)[::-1]) - s_vn
+    q = p.copy()
+    q.sort()
+    return _entropy(q[::-1]) - s_vn
 
 
 def predictability_hs(rho: PureState | DensityOperator) -> MeasureValue:

@@ -13,7 +13,17 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import DensityOperator, DimensionSignature, PureState, _as_signature, _index, _require_capacity
+from .core import (
+    DensityOperator,
+    DimensionSignature,
+    PureState,
+    _as_signature,
+    _check_amplitudes,
+    _index,
+    _pure_unchecked,
+    _require_capacity,
+    _squared_norms,
+)
 from .errors import ValidationError
 
 __all__ = [
@@ -168,12 +178,26 @@ def build(variant: str, **params) -> PureState | DensityOperator:
     return _FACTORIES[variant](**params)
 
 
+#: Most amplitudes ``haar_random_pure`` draws at once: a block holds 2**16 // D states
+#: (at least one), so its memory does not grow with ``count``.
+_BLOCK_AMPLITUDES = 2**16
+#: A draw whose norm before normalization is below this is thrown away.
+_MIN_NORM = 1e-6
+
+
 def haar_random_pure(signature, count: int, seed: int) -> Iterator[PureState]:
     """Yield ``count`` Haar-distributed pure states, deterministically per seed.
 
     Each state normalizes a vector of i.i.d. standard complex Gaussian
-    amplitudes; draws with a pre-normalization norm below 1e-6 are thrown
-    away and resampled.  A signature over ``core.MAX_TOTAL_DIM`` raises
+    amplitudes: D real parts, then D imaginary parts, from one stream.  The
+    states are drawn in blocks of at most 2**16 amplitudes, one
+    ``standard_normal((rows, 2, D))`` per block, which is the same stream as
+    one draw per state; so a block's memory is bounded whatever ``count``.
+    Each row's norm is the square root of its sum of real squares (not BLAS).
+    A draw with a norm below 1e-6 is thrown away and drawing goes on.  Each
+    block is checked once, as ``PureState`` checks a vector (finite entries,
+    sum |a|^2 within ``core.NORM_ATOL`` of 1), and each state holds a
+    read-only row of it.  A signature over ``core.MAX_TOTAL_DIM`` raises
     CapacityError, and a ``count`` or ``seed`` that is not an integer, a
     ``count`` below 1 or a negative ``seed`` raises ValidationError, before
     anything is drawn.
@@ -188,11 +212,18 @@ def haar_random_pure(signature, count: int, seed: int) -> Iterator[PureState]:
         raise ValidationError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
     d = signature.total
-    produced = 0
-    while produced < count:
-        z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        norm = float(np.linalg.norm(z))
-        if norm < 1e-6:
-            continue
-        yield PureState(signature, z / norm)
-        produced += 1
+    remaining = count
+    while remaining:
+        draws = rng.standard_normal((min(remaining, max(1, _BLOCK_AMPLITUDES // d)), 2, d))
+        block = np.empty((len(draws), d), dtype=np.complex128)
+        block.real = draws[:, 0]
+        block.imag = draws[:, 1]
+        norms = np.sqrt(_squared_norms(block))
+        kept = ~(norms < _MIN_NORM)
+        if not kept.all():
+            block, norms = block[kept], norms[kept]
+        block /= norms[:, None]
+        _check_amplitudes(block)
+        for amplitudes in block:
+            yield _pure_unchecked(signature, amplitudes)
+        remaining -= len(block)

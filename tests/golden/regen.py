@@ -2,13 +2,17 @@
 
 Run from the repository root:
 
-    PYTHONPATH=src python tests/golden/regen.py
+    PYTHONPATH=src python tests/golden/regen.py [--check]
 
 It writes the three input state files into ``tests/golden/inputs/`` and,
 for every command of ``BATTERY``, the argv, exit code, stdout and stderr
 into ``tests/golden/golden.json``, together with the key of the arithmetic
 that made them: the numpy version and ``arithmetic()``, a digest of what
-numpy's complex matmul, abs, log, eigvalsh and vdot give on this CPU.
+numpy's complex matmul, abs, log, eigvalsh, vdot and norm and the real-square
+sums of a state's norm give on this CPU.  ``--check`` regenerates everything
+in a temporary directory instead, writes nothing, prints each input file,
+command argv, library state or factory whose bytes differ from what is
+committed, and exits 1 if any does.
 ``tests/test_golden.py`` compares bytes only under that same key.  A sweep
 also records the CSV text it wrote, or null when it wrote none.  Commands
 name their files by relative path, so they run in a
@@ -23,6 +27,7 @@ Regenerate only in a change whose CHANGES.md entry lists which outputs
 moved and why.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -37,6 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from ccrkit import PureState, ccr_inequality_gap, partial_trace, purify
+from ccrkit.core import _squared_norms
 from ccrkit.cli import MEASURES, PARTNER_COLUMNS, _parse_param, main, parse_state_file
 from ccrkit.states import FACTORY_PARAMS, build, haar_random_pure
 
@@ -180,9 +186,9 @@ def _battery() -> list[list[str]]:
 BATTERY = _battery()
 
 
-def stage(directory: Path) -> None:
-    """Fill ``directory`` with a copy of ``inputs/`` and the ``BAD_FILES`` beside them."""
-    shutil.copytree(INPUTS, directory / "inputs")
+def stage(directory: Path, inputs: Path = INPUTS) -> None:
+    """Fill ``directory`` with a copy of ``inputs`` as ``inputs/`` and the ``BAD_FILES`` beside them."""
+    shutil.copytree(inputs, directory / "inputs")
     for name, text in BAD_FILES.items():
         (directory / "inputs" / name).write_text(text, encoding="utf-8")
 
@@ -204,9 +210,9 @@ def run(argv: list[str]) -> dict:
     return result
 
 
-def battery(directory: Path) -> list[dict]:
-    """``run`` every command of ``BATTERY`` in ``directory``, once ``stage`` has filled it."""
-    stage(directory)
+def battery(directory: Path, inputs: Path = INPUTS) -> list[dict]:
+    """``run`` every command of ``BATTERY`` in ``directory``, once ``stage`` has filled it from ``inputs``."""
+    stage(directory, inputs)
     cwd = os.getcwd()
     os.chdir(directory)
     try:
@@ -219,10 +225,14 @@ def arithmetic() -> str:
     """A digest of the bytes that the numpy operations the battery rests on give here.
 
     The bits of complex ``matmul`` follow the BLAS kernel, and those of complex
-    ``abs`` and ``log`` numpy's SIMD dispatch; ``eigvalsh`` and ``vdot`` follow
-    both.  So the digest covers each of them, on exact inputs, with the k x rest
-    blocks of a pure state's reduction M M^dag.  ``tests/test_golden.py``
-    compares bytes only where the numpy version and this digest are golden's.
+    ``abs`` and ``log`` numpy's SIMD dispatch; ``eigvalsh``, ``vdot`` and
+    ``linalg.norm`` follow both.  So the digest covers each of them, on exact
+    inputs, with the k x rest blocks of a pure state's reduction M M^dag, and
+    the two reductions that normalize a state: ``linalg.norm`` of the short
+    vectors that the factories normalize, and the per-row sums of real
+    squares that the Haar sampler and ``PureState`` take.
+    ``tests/test_golden.py`` compares bytes only where the numpy version and
+    this digest are golden's.
     """
     n = 4 * 2048
     grid = ((np.arange(2 * n) * 7919) % 1013 - 506) / 1013.0
@@ -239,6 +249,10 @@ def arithmetic() -> str:
         m = z[: d * d].reshape(d, d)
         digest.update(np.linalg.eigvalsh(m @ m.conj().T).tobytes())
     digest.update(np.vdot(z, z).tobytes())
+    for size in (2, 4, 5, 8):
+        digest.update(np.array([np.linalg.norm(z[i : i + size]) for i in range(0, 512, size)]).tobytes())
+    for d in (8, 9, 12, 16, 24, 32, 72, 4096):
+        digest.update(_squared_norms(z[: n // d * d].reshape(-1, d)).tobytes())
     return digest.hexdigest()[:16]
 
 
@@ -257,15 +271,15 @@ def _state_doc(dims, kind: str, data: np.ndarray) -> str:
 ANCILLA_STATES = [((2, 2, 2), 2, 11), ((3, 2, 4), 3, 12)]
 
 
-def library_states():
+def library_states(inputs: Path = INPUTS):
     """(name, mixed state) pairs: ``inputs/mixed_23.json``, then each ``ANCILLA_STATES`` reduction."""
-    yield "inputs/mixed_23.json", parse_state_file((INPUTS / "mixed_23.json").read_bytes())
+    yield "inputs/mixed_23.json", parse_state_file((inputs / "mixed_23.json").read_bytes())
     for dims, ancilla, seed in ANCILLA_STATES:
         (psi,) = haar_random_pure(dims + (ancilla,), 1, seed)
         yield f"haar {dims}+{ancilla} seed {seed}", partial_trace(psi, range(len(dims)))
 
 
-def library() -> list[dict]:
+def library(inputs: Path = INPUTS) -> list[dict]:
     """Per state: the gap's ``repr`` on every target and ``purify``'s amplitudes as [re, im] pairs."""
     return [
         {
@@ -273,7 +287,7 @@ def library() -> list[dict]:
             "gaps": [repr(ccr_inequality_gap(rho, target)) for target in range(len(rho.dims))],
             "purify": _pairs(purify(rho).amplitudes),
         }
-        for name, rho in library_states()
+        for name, rho in library_states(inputs)
     ]
 
 
@@ -287,28 +301,60 @@ def factories() -> dict:
     }
 
 
-def write_inputs() -> None:
+def write_inputs(inputs: Path = INPUTS) -> None:
     """The README's bell.json, a Haar (3, 2, 4) pure state and a mixed (2, 3) density."""
-    INPUTS.mkdir(exist_ok=True)
+    inputs.mkdir(exist_ok=True)
     (bell,) = re.findall(r"^```json\n(.*?)^```", README.read_text(encoding="utf-8"), flags=re.S | re.M)
-    (INPUTS / "bell.json").write_text(bell, encoding="utf-8")
+    (inputs / "bell.json").write_text(bell, encoding="utf-8")
     (psi,) = haar_random_pure((3, 2, 4), 1, 324)
-    (INPUTS / "haar_324.json").write_text(_state_doc(psi.dims, "pure", psi.amplitudes), encoding="utf-8")
+    (inputs / "haar_324.json").write_text(_state_doc(psi.dims, "pure", psi.amplitudes), encoding="utf-8")
     (psi,) = haar_random_pure((2, 3, 2), 1, 23)
     rho = partial_trace(psi, [0, 1])
-    (INPUTS / "mixed_23.json").write_text(_state_doc(rho.dims, "density", rho.matrix), encoding="utf-8")
+    (inputs / "mixed_23.json").write_text(_state_doc(rho.dims, "density", rho.matrix), encoding="utf-8")
 
 
-def main_regen() -> None:
-    write_inputs()
+def regenerate(work: Path) -> dict:
+    """The golden document, made in the empty directory ``work`` from input files that it writes there."""
+    inputs = work / "inputs"
+    write_inputs(inputs)
+    commands = battery(work / "battery", inputs)
+    return {"numpy": np.__version__, "arithmetic": arithmetic(), "python": sys.version.split()[0],
+            "commands": commands, "library": library(inputs), "factories": factories()}
+
+
+def differences(doc: dict, inputs: Path) -> list[str]:
+    """What ``doc`` and the files in ``inputs`` hold that differ, byte for byte, from the committed golden files."""
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    moved = [f"{key}: {golden[key]} -> {doc[key]}" for key in ("numpy", "arithmetic") if golden[key] != doc[key]]
+    moved += [f"inputs/{path.name}" for path in sorted(inputs.iterdir())
+              if not (INPUTS / path.name).is_file() or (INPUTS / path.name).read_bytes() != path.read_bytes()]
+    if [c["argv"] for c in golden["commands"]] != [c["argv"] for c in doc["commands"]]:
+        moved.append("commands: the battery's argv list")
+    else:
+        moved += [" ".join(have["argv"]) for have, want in zip(doc["commands"], golden["commands"]) if have != want]
+    want = {entry["state"]: entry for entry in golden["library"]}
+    moved += [f"library: {entry['state']}" for entry in doc["library"] if want.get(entry["state"]) != entry]
+    moved += [f"factories: {name}" for name, amps in doc["factories"].items() if golden["factories"].get(name) != amps]
+    return moved
+
+
+def main_regen(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true", help="write nothing; list what would move and exit 1 if any")
+    args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as work:
-        commands = battery(Path(work))
-    doc = {"numpy": np.__version__, "arithmetic": arithmetic(), "python": sys.version.split()[0],
-           "commands": commands, "library": library(), "factories": factories()}
+        doc = regenerate(Path(work))
+        if args.check:
+            moved = differences(doc, Path(work) / "inputs")
+            for entry in moved:
+                print(entry)
+            return 1 if moved else 0
+        shutil.copytree(Path(work) / "inputs", INPUTS, dirs_exist_ok=True)
     GOLDEN.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {len(commands)} commands, {len(doc['library'])} library states and "
+    print(f"wrote {len(doc['commands'])} commands, {len(doc['library'])} library states and "
           f"{len(doc['factories'])} factory states to {GOLDEN.relative_to(HERE.parents[1])}")
+    return 0
 
 
 if __name__ == "__main__":
-    main_regen()
+    raise SystemExit(main_regen())

@@ -198,6 +198,22 @@ def random_pure_vector(d, rng):
     return z / np.linalg.norm(z)
 
 
+def haar_amplitudes_one_by_one(dims, count, rng):
+    """``count`` Haar amplitude vectors drawn one state at a time from ``rng``; oracle for the block draw.
+
+    Each draw is D real parts, then D imaginary parts, divided by the square root of its sum of
+    real squares; a draw whose norm is below 1e-6 is skipped.
+    """
+    d = math.prod(dims)
+    out = []
+    while len(out) < count:
+        z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        norm = math.sqrt(float(np.square(z.view(np.float64)).sum()))
+        if not norm < 1e-6:
+            out.append(z / norm)
+    return out
+
+
 def xlogx(p):
     """p ln p with the 0 ln 0 = 0 convention, for closed-form expectations."""
     return 0.0 if p <= 0.0 else p * np.log(p)

@@ -1,9 +1,14 @@
 """State factories and the Haar-random sampler."""
 
+import ast
 import math
+import tracemalloc
+from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import haar_amplitudes_one_by_one
 
 from ccrkit import CapacityError, DensityOperator, PureState, ValidationError, density_from_pure, partial_trace, purity
 from ccrkit.states import (
@@ -178,6 +183,93 @@ def test_haar_rejects_negative_seed_before_drawing(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", refuse)
     with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
         next(haar_random_pure((2, 2), 3, -1))
+
+
+@pytest.mark.parametrize("dims, count", [((2, 2, 2), 2 * 8192 + 5), ((3, 3, 3), 5000), ((2,) * 12, 40)])
+def test_haar_block_draw_equals_per_state_draws(dims, count):
+    # 2**16 // D states per block: 8192, 2427 and 16, so each count spans more than one block.
+    got = [psi.amplitudes for psi in haar_random_pure(dims, count, seed=31)]
+    want = haar_amplitudes_one_by_one(dims, count, np.random.default_rng(31))
+    assert len(got) == count
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want, strict=True))
+
+
+class StreamStub:
+    """A generator stand-in that hands out ``values`` in order, in whatever shape is asked for."""
+
+    def __init__(self, values):
+        self.values = values
+        self.used = 0
+
+    def standard_normal(self, shape):
+        size = math.prod(np.atleast_1d(shape))
+        out = self.values[self.used : self.used + size].reshape(shape)
+        self.used += size
+        return out
+
+
+def test_haar_skips_draws_with_a_norm_below_the_floor(monkeypatch):
+    d, skipped, count = 8, 3, 5
+    rng = np.random.default_rng(4)
+    stream = np.concatenate([1e-9 * rng.standard_normal(2 * d * skipped), rng.standard_normal(2 * d * count)])
+    want = haar_amplitudes_one_by_one((2, 2, 2), count, StreamStub(stream))
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: StreamStub(stream))
+    got = [psi.amplitudes for psi in haar_random_pure((2, 2, 2), count, 0)]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want, strict=True))
+    first = stream[2 * d * skipped : 2 * d * (skipped + 1)]
+    assert np.allclose(got[0], (first[:d] + 1j * first[d:]) / np.linalg.norm(first), rtol=0, atol=1e-15)
+
+
+def test_haar_checks_each_block_before_yielding_from_it(monkeypatch):
+    stream = np.random.default_rng(5).standard_normal(2 * 8 * 4)
+    # Row 2's squares overflow, so its norm is inf and it normalizes to zeros.
+    stream[2 * 8 * 2 + 3] = 1e200
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: StreamStub(stream))
+    with pytest.raises(ValidationError, match=r"not normalized: sum \|a\|\^2 = 0\.0"):
+        next(haar_random_pure((2, 2, 2), 4, 0))
+
+
+def test_haar_memory_is_one_block_whatever_the_count():
+    # One block is 16 states of 4096 amplitudes: 1 MB of draws and 1 MB of amplitudes.
+    tracemalloc.start()
+    try:
+        next(haar_random_pure((2,) * 12, 10**6, 0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def test_haar_states_are_read_only_and_valid():
+    for psi in haar_random_pure((3, 2, 4), 50, seed=8):
+        assert not psi.amplitudes.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            psi.amplitudes[0] = 1.0
+        again = PureState(psi.signature, psi.amplitudes)
+        assert again.amplitudes.tobytes() == psi.amplitudes.tobytes()
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "ccrkit"
+
+
+def test_only_the_factories_and_purify_reach_the_blas_norm():
+    # callers[name]: the module-level functions and classes of src/ that call ``name``, as
+    # module.name; a call outside any of them counts as module.<module>.
+    callers = defaultdict(set)
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+            for node in ast.walk(top):
+                if isinstance(node, ast.ImportFrom):
+                    assert not (node.module or "").endswith("linalg"), (path.name, ast.unparse(node))
+                if isinstance(node, ast.Call):
+                    callers[ast.unparse(node.func)].add(f"{path.stem}.{owner}")
+    users = set().union(*(found for name, found in callers.items() if name.endswith("linalg.norm")))
+    # The factories' normalization keeps the sweep CSV bytes; _offdiag_norm is the stopping
+    # test of purify's Jacobi solver, which only purify calls.
+    assert users <= {"states._normalized", "core.purify", "core._offdiag_norm"}
+    assert callers["_offdiag_norm"] <= {"core._jacobi_eigh"} and callers["_jacobi_eigh"] <= {"core.purify"}
 
 
 @pytest.mark.parametrize(
