@@ -358,9 +358,10 @@ def _load_state(args) -> PureState | DensityOperator:
 
 
 def _check_tolerance(tolerance: float) -> float:
+    """``tolerance`` if it is finite and >= 0, with -0.0 read as 0.0; else ValidationError."""
     if not (math.isfinite(tolerance) and tolerance >= 0.0):
         raise ValidationError(f"tolerance must be a finite number >= 0, got {tolerance!r}")
-    return tolerance
+    return abs(tolerance)
 
 
 def _report_to_dict(report: CCRReport) -> dict:

@@ -43,7 +43,7 @@ RANK_CUTOFF = 1e-12  # eigenvalues above this count toward the purification rank
 # from a PureState's amplitudes (density_from_pure, _reduced_matrix) is larger on a side.
 MAX_TOTAL_DIM = 4096
 # Most subsystems a signature may have: a density reshapes to 2n axes, which numpy 1.x
-# caps at 32, and its reduction's einsum takes only axis labels below 52.
+# caps at 32.
 MAX_SUBSYSTEMS = 16
 
 
@@ -264,12 +264,14 @@ def _require_pure(state: PureState | DensityOperator, hint: str) -> None:
         raise PreconditionError(f"global state is not pure (Tr rho^2 = {p!r}); {hint}")
 
 
-def _block_view(rho: PureState | DensityOperator, left: Sequence[int], right: Sequence[int]) -> np.ndarray:
-    """rho as a (d_left, d_right, d_left, d_right) array; each side flattened in the order given."""
+def _block_view(rho: PureState | DensityOperator, keep: Sequence[int]) -> np.ndarray:
+    """rho as a (d_keep, d_rest, d_keep, d_rest) array, ``keep`` flattened in the order given and
+    the rest ascending: the one map from subsystem indices to a density's axes."""
     dims = rho.signature.dims
     n = len(dims)
-    shape = (math.prod(dims[m] for m in left), math.prod(dims[m] for m in right))
-    perm = [*left, *right, *(n + m for m in left), *(n + m for m in right)]
+    rest = [m for m in range(n) if m not in keep]
+    shape = (math.prod(dims[m] for m in keep), math.prod(dims[m] for m in rest))
+    perm = [*keep, *rest, *(n + m for m in keep), *(n + m for m in rest)]
     return _state_matrix(rho).reshape(dims + dims).transpose(perm).reshape(shape + shape)
 
 
@@ -278,10 +280,7 @@ def _partition_blocks(state: PureState | DensityOperator, target: int, reduced: 
     if isinstance(state, PureState):
         p = reduced.diagonal().real
         return p[:, None] * p
-    dims = state.signature.dims
-    n = len(dims)
-    rest_axes = tuple(m for m in range(2 * n) if m not in (target, n + target))
-    return np.sum(np.abs(_state_matrix(state).reshape(dims + dims)) ** 2, axis=rest_axes)
+    return (np.abs(_block_view(state, [target])) ** 2).sum(axis=(1, 3))
 
 
 def _entropy(p: np.ndarray) -> float:
@@ -302,8 +301,8 @@ def _reduced_matrix(state: PureState | DensityOperator, keep: Sequence[int]) -> 
     n = len(dims)
     if len(keep) == n:
         return (state if isinstance(state, DensityOperator) else density_from_pure(state)).matrix
-    k = math.prod([dims[m] for m in keep])
     if isinstance(state, PureState):
+        k = math.prod([dims[m] for m in keep])
         _require_capacity(k)
         rest = [m for m in range(n) if m not in keep]
         amps = state.amplitudes.reshape(dims).transpose([*keep, *rest]).reshape(k, -1)
@@ -311,9 +310,7 @@ def _reduced_matrix(state: PureState | DensityOperator, keep: Sequence[int]) -> 
         reduced += reduced.conj().T
         reduced *= 0.5
         return reduced
-    bra_ket = list(range(n)) + [n + m if m in keep else m for m in range(n)]
-    out_axes = keep + [n + m for m in keep]
-    reduced = np.einsum(state.matrix.reshape(dims + dims), bra_ket, out_axes).reshape(k, k)
+    reduced = np.einsum("iIjI->ij", _block_view(state, keep))
     return 0.5 * (reduced + reduced.conj().T)
 
 

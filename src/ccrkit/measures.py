@@ -277,8 +277,8 @@ def satisfies_offdiag_conditions(
     ``MEASURE_ATOL``.  When both hold, the Hilbert-Schmidt correlated coherence
     across the bipartition is non-negative.
     """
-    left, right = _split_bipartition(rho_full, bipartition)
-    block = _block_view(rho_full, left, right)
+    left, _ = _split_bipartition(rho_full, bipartition)
+    block = _block_view(rho_full, left)
     for terms in (np.einsum("ijkj->ikj", block), np.einsum("ijil->jli", block)):
         lhs = np.abs(terms.sum(axis=-1)) ** 2
         rhs = (np.abs(terms) ** 2).sum(axis=-1)

@@ -200,7 +200,8 @@ def haar_random_pure(signature, count: int, seed: int) -> Iterator[PureState]:
     read-only row of it.  A signature over ``core.MAX_TOTAL_DIM`` raises
     CapacityError, and a ``count`` or ``seed`` that is not an integer, a
     ``count`` below 1 or a negative ``seed`` raises ValidationError, before
-    anything is drawn.
+    anything is drawn.  This is a generator function, so these errors come
+    at the first ``next()`` on the returned iterator, not at the call.
     """
     signature = _as_signature(signature)
     _require_capacity(signature.total)

@@ -12,7 +12,9 @@ numpy's complex matmul, abs, log, eigvalsh, vdot and norm and the real-square
 sums of a state's norm give on this CPU.  ``--check`` regenerates everything
 in a temporary directory instead, writes nothing, prints each input file,
 command argv, library state or factory whose bytes differ from what is
-committed, and exits 1 if any does.
+committed, each command, library state or factory with the largest absolute
+move of its numbers (and "text differs" if anything else differs too), and
+exits 1 if any does.
 ``tests/test_golden.py`` compares bytes only under that same key.  A sweep
 also records the CSV text it wrote, or null when it wrote none.  Commands
 name their files by relative path, so they run in a
@@ -50,6 +52,9 @@ HERE = Path(__file__).resolve().parent
 INPUTS = HERE / "inputs"
 GOLDEN = HERE / "golden.json"
 README = HERE.parents[1] / "README.md"
+
+#: A number as it prints: an int, a decimal or exponent float, nan or inf.
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
 
 AUDITS = [((2, 2, 2), 20, 42), ((3, 3), 10, 7), ((2,) * 5, 8, 5)]
 FLAVORS = ("hs", "vn", "mixedness")
@@ -322,8 +327,20 @@ def regenerate(work: Path) -> dict:
             "commands": commands, "library": library(inputs), "factories": factories()}
 
 
+def movement(have, want) -> str:
+    """How far golden entry ``have`` is from ``want``: the largest absolute change of a number, the
+    numbers of each paired in the order they print, and "text differs" if anything else differs."""
+    got, was = json.dumps(have), json.dumps(want)
+    move = max((abs(float(a) - float(b)) for a, b in zip(NUMBER.findall(got), NUMBER.findall(was)) if a != b),
+               default=0.0)
+    text = "" if NUMBER.sub("#", got) == NUMBER.sub("#", was) else ", text differs"
+    return f"max |move| {move:.2g}{text}"
+
+
 def differences(doc: dict, inputs: Path) -> list[str]:
-    """What ``doc`` and the files in ``inputs`` hold that differ, byte for byte, from the committed golden files."""
+    """What ``doc`` and the files in ``inputs`` hold that differ, byte for byte, from the committed golden files.
+
+    Each differing command, library state or factory is followed by its ``movement``."""
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     moved = [f"{key}: {golden[key]} -> {doc[key]}" for key in ("numpy", "arithmetic") if golden[key] != doc[key]]
     moved += [f"inputs/{path.name}" for path in sorted(inputs.iterdir())
@@ -331,10 +348,13 @@ def differences(doc: dict, inputs: Path) -> list[str]:
     if [c["argv"] for c in golden["commands"]] != [c["argv"] for c in doc["commands"]]:
         moved.append("commands: the battery's argv list")
     else:
-        moved += [" ".join(have["argv"]) for have, want in zip(doc["commands"], golden["commands"]) if have != want]
+        moved += [f"{' '.join(have['argv'])}  ({movement(have, want)})"
+                  for have, want in zip(doc["commands"], golden["commands"]) if have != want]
     want = {entry["state"]: entry for entry in golden["library"]}
-    moved += [f"library: {entry['state']}" for entry in doc["library"] if want.get(entry["state"]) != entry]
-    moved += [f"factories: {name}" for name, amps in doc["factories"].items() if golden["factories"].get(name) != amps]
+    moved += [f"library: {entry['state']}  ({movement(entry, want.get(entry['state']))})"
+              for entry in doc["library"] if want.get(entry["state"]) != entry]
+    moved += [f"factories: {name}  ({movement(amps, golden['factories'].get(name))})"
+              for name, amps in doc["factories"].items() if golden["factories"].get(name) != amps]
     return moved
 
 

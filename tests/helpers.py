@@ -91,6 +91,23 @@ def brute_nonlocal_sum(matrix, dims, target):
     return total.real
 
 
+def brute_partition_blocks(matrix, dims, target):
+    """F_ij = sum_{I,J} |rho_{iI,jJ}|^2 by explicit summation over the rest multi-indices I, J.
+
+    ``math.fsum`` rounds each sum once, so the oracle adds no roundoff of its own.
+    """
+    others = [m for m in range(len(dims)) if m != target]
+    flat = _split_index(dims, [target], others)
+    rest = list(itertools.product(*[range(dims[m]) for m in others]))
+    d = dims[target]
+    blocks = np.zeros((d, d))
+    for i, j in itertools.product(range(d), repeat=2):
+        blocks[i, j] = math.fsum(
+            abs(matrix[flat((i,), big_i), flat((j,), big_j)]) ** 2 for big_i in rest for big_j in rest
+        )
+    return blocks
+
+
 def brute_offdiag_defect(matrix, dims, left):
     """Largest violation of the off-diagonal conditions, by explicit summation.
 
@@ -230,6 +247,17 @@ def wrapper_pure_reduction(amplitudes, dims, keep):
     k = math.prod(dims[m] for m in keep)
     m = np.moveaxis(np.asarray(amplitudes).reshape(dims), keep, range(len(keep))).reshape(k, -1)
     reduced = m @ m.conj().T
+    return 0.5 * (reduced + reduced.conj().T)
+
+
+def wrapper_density_reduction(matrix, dims, keep):
+    """Density partial trace by one sublist np.einsum over the 2n axes, Hermitian-symmetrised."""
+    n = len(dims)
+    keep = sorted(keep)
+    k = math.prod(dims[m] for m in keep)
+    bra_ket = list(range(n)) + [n + m if m in keep else m for m in range(n)]
+    out_axes = keep + [n + m for m in keep]
+    reduced = np.einsum(np.asarray(matrix).reshape(tuple(dims) * 2), bra_ket, out_axes).reshape(k, k)
     return 0.5 * (reduced + reduced.conj().T)
 
 

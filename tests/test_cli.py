@@ -359,7 +359,7 @@ def test_one_cap_governs_tensor_product_state_files_and_audits(tmp_path, monkeyp
     assert "exceeds the configured maximum 8" in capsys.readouterr().err
 
 
-#: One past the subsystem limit; a density reduction's einsum out of axis labels; past numpy's 64 axes.
+#: One past the subsystem limit; 27, whose density has 54 axes; past numpy's 64 axes.
 WIDE_SIGNATURES = [(2,) * 17, (1,) * 26 + (2,), (1,) * 70 + (2,)]
 
 
@@ -454,6 +454,18 @@ def test_a_residual_equal_to_the_tolerance_passes(capsys):
     # The worst residual is roundoff whose last digits follow the CPU kernel.
     worst = re.search(r"^max\|residual\|=(\S+) .* tolerance=0\.000e\+00\nFAIL\n\Z", capsys.readouterr().out, re.M)
     assert worst is not None and 0.0 < float(worst.group(1)) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "command", ["check --factory bipartite-x --x 0 --flavor hs", "audit --dims 2,2 --count 3 --flavor hs"],
+    ids=["check", "audit"],
+)
+def test_a_negative_zero_tolerance_reads_as_zero(command, capsys):
+    assert math.copysign(1.0, ccrkit.cli._check_tolerance(-0.0)) == 1.0
+    plus = main(f"{command} --tolerance 0".split()), capsys.readouterr()
+    minus = main(f"{command} --tolerance -0".split()), capsys.readouterr()
+    assert minus == plus
+    assert "-0.000" not in minus[1].out
 
 
 def test_numeric_failure_exits_4(monkeypatch, capsys):

@@ -18,17 +18,16 @@ another key that comparison is reported as a skip that names both keys.
 """
 
 import json
-import re
 
 import numpy as np
 import pytest
 from golden import regen
+from golden.regen import NUMBER
 
 from ccrkit.cli import MEASURES, main
 from ccrkit.states import FACTORY_PARAMS
 
 GOLDEN = json.loads(regen.GOLDEN.read_text(encoding="utf-8"))
-NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
 ATOL = 1e-12
 
 ARITHMETIC = regen.arithmetic()
@@ -101,6 +100,21 @@ def test_golden_bytes_hold_under_the_golden_key(got):
         assert have == want, want["argv"]
     assert got["library"] == GOLDEN["library"]
     assert got["factories"] == GOLDEN["factories"]
+
+
+def test_check_says_how_far_each_entry_moved(tmp_path, monkeypatch):
+    golden = json.loads(regen.GOLDEN.read_text(encoding="utf-8"))
+    nudged = json.loads(regen.GOLDEN.read_text(encoding="utf-8"))
+    state = nudged["library"][-1]
+    state["gaps"][1] = repr(float(state["gaps"][1]) + 5.6e-17)
+    command = nudged["commands"][-1]
+    command["stdout"] = command["stdout"].replace('"sum"', '"total"')
+    (tmp_path / "golden.json").write_text(json.dumps(nudged), encoding="utf-8")
+    monkeypatch.setattr(regen, "GOLDEN", tmp_path / "golden.json")
+    assert regen.differences(golden, regen.INPUTS) == [
+        f"{' '.join(command['argv'])}  (max |move| 0, text differs)",
+        f"library: {state['state']}  (max |move| 5.6e-17)",
+    ]
 
 
 def _value(argv, flag):

@@ -12,7 +12,9 @@ import math
 import numpy as np
 import pytest
 from helpers import (
+    brute_partition_blocks,
     random_density_matrix,
+    wrapper_density_reduction,
     wrapper_diag_probs,
     wrapper_measure_values,
     wrapper_nonlocal_hs_sum,
@@ -34,6 +36,7 @@ from ccrkit import (
     predictability_vn,
     von_neumann_entropy,
 )
+from ccrkit.core import _block_view, _partition_blocks
 from ccrkit.measures import MEASURE_ATOL, _diag_probs, _nonlocal_hs_sum, _offdiag
 
 SIGNATURES = [(2, 3, 2), (3, 2, 4), (2, 2, 2, 2, 2)]
@@ -171,7 +174,29 @@ def test_nonlocal_sum_keeps_the_wrapper_bits(dims):
             reduced = partial_trace(state, [target])
             blocks = None
             if isinstance(state, DensityOperator):
-                rest_axes = tuple(m for m in range(2 * n) if m not in (target, n + target))
-                blocks = np.sum(np.abs(state.matrix.reshape(dims + dims)) ** 2, axis=rest_axes)
+                blocks = (np.abs(_block_view(state, [target])) ** 2).sum(axis=(1, 3))
             want = wrapper_nonlocal_hs_sum(reduced.matrix, blocks)
             assert bits(_nonlocal_hs_sum(state, target, reduced.matrix)) == bits(want)
+
+
+#: Signatures on which a density's reduction and block norms are pinned, keep sets such as [0, 2] included.
+DENSITY_SIGNATURES = [(2, 3, 2), (3, 2, 4), (2,) * 5, (2,) * 7]
+
+
+@pytest.mark.parametrize("dims", DENSITY_SIGNATURES)
+def test_density_reduction_keeps_the_sublist_einsum_bits(dims):
+    n = len(dims)
+    for rho in mixed_states(dims, seed=9):
+        for size in range(1, n):
+            for keep in itertools.combinations(range(n), size):
+                want = wrapper_density_reduction(rho.matrix, dims, keep)
+                assert partial_trace(rho, keep).matrix.tobytes() == want.tobytes(), keep
+
+
+@pytest.mark.parametrize("dims", DENSITY_SIGNATURES)
+def test_density_blocks_match_the_literal_four_index_sum(dims):
+    for rho in mixed_states(dims, seed=10):
+        for target in range(len(dims)):
+            blocks = _partition_blocks(rho, target, partial_trace(rho, [target]).matrix)
+            want = brute_partition_blocks(rho.matrix, dims, target)
+            np.testing.assert_allclose(blocks, want, rtol=0, atol=1e-15, err_msg=f"target {target}")
