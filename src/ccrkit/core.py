@@ -264,15 +264,17 @@ def _require_pure(state: PureState | DensityOperator, hint: str) -> None:
         raise PreconditionError(f"global state is not pure (Tr rho^2 = {p!r}); {hint}")
 
 
-def _block_view(rho: PureState | DensityOperator, keep: Sequence[int]) -> np.ndarray:
-    """rho as a (d_keep, d_rest, d_keep, d_rest) array, ``keep`` flattened in the order given and
-    the rest ascending: the one map from subsystem indices to a density's axes."""
-    dims = rho.signature.dims
-    n = len(dims)
-    rest = [m for m in range(n) if m not in keep]
-    shape = (math.prod(dims[m] for m in keep), math.prod(dims[m] for m in rest))
-    perm = [*keep, *rest, *(n + m for m in keep), *(n + m for m in rest)]
-    return _state_matrix(rho).reshape(dims + dims).transpose(perm).reshape(shape + shape)
+def _block_view(array: np.ndarray, dims: tuple[int, ...], keep: Sequence[int]) -> np.ndarray:
+    """A vector (D,) as (d_keep, d_rest), a matrix (D, D) as (d_keep, d_rest, d_keep, d_rest): the one map
+    from subsystem indices to a state's axes, ``keep`` flattened in the order given and the rest ascending.
+    A view when ``keep`` and the rest are each an ascending run of adjacent subsystems, else in general a copy."""
+    rest = [m for m in range(len(dims)) if m not in keep]
+    k = math.prod([dims[m] for m in keep])
+    order, shape = [*keep, *rest], (k, len(array) // k)
+    if array.ndim == 2:
+        order += [len(dims) + m for m in order]
+        shape += shape
+    return array.reshape(dims * array.ndim).transpose(order).reshape(shape)
 
 
 def _partition_blocks(state: PureState | DensityOperator, target: int, reduced: np.ndarray) -> np.ndarray:
@@ -280,7 +282,7 @@ def _partition_blocks(state: PureState | DensityOperator, target: int, reduced: 
     if isinstance(state, PureState):
         p = reduced.diagonal().real
         return p[:, None] * p
-    return (np.abs(_block_view(state, [target])) ** 2).sum(axis=(1, 3))
+    return (np.abs(_block_view(_state_matrix(state), state.signature.dims, [target])) ** 2).sum(axis=(1, 3))
 
 
 def _entropy(p: np.ndarray) -> float:
@@ -293,24 +295,21 @@ def _reduced_matrix(state: PureState | DensityOperator, keep: Sequence[int]) -> 
     """partial_trace's Hermitian matrix for sorted, in-range ``keep``: the one reader of a state's matrix.
 
     Keeping every subsystem gives the state's own matrix: a DensityOperator's, or a
-    PureState's projector from ``density_from_pure``.  A proper reduction of a PureState
-    is M M^dag, M its (keep x rest) amplitude matrix.  Either raises CapacityError if the
-    matrix is over ``MAX_TOTAL_DIM`` on a side.
+    PureState's projector from ``density_from_pure``.  A proper reduction traces the rest out
+    of ``_block_view``: M M^dag for a PureState's (keep x rest) amplitude matrix M.  Either
+    raises CapacityError if the matrix is over ``MAX_TOTAL_DIM`` on a side.
     """
     dims = state.signature.dims
-    n = len(dims)
-    if len(keep) == n:
+    if len(keep) == len(dims):
         return (state if isinstance(state, DensityOperator) else density_from_pure(state)).matrix
     if isinstance(state, PureState):
-        k = math.prod([dims[m] for m in keep])
-        _require_capacity(k)
-        rest = [m for m in range(n) if m not in keep]
-        amps = state.amplitudes.reshape(dims).transpose([*keep, *rest]).reshape(k, -1)
+        amps = _block_view(state.amplitudes, dims, keep)
+        _require_capacity(len(amps))
         reduced = amps @ amps.conj().T
         reduced += reduced.conj().T
         reduced *= 0.5
         return reduced
-    reduced = np.einsum("iIjI->ij", _block_view(state, keep))
+    reduced = np.einsum("iIjI->ij", _block_view(state.matrix, dims, keep))
     return 0.5 * (reduced + reduced.conj().T)
 
 
@@ -325,9 +324,9 @@ def partial_trace(rho: PureState | DensityOperator, keep: Iterable[int]) -> Dens
     Parameters
     ----------
     rho : PureState or DensityOperator
-        State over n subsystems.  For a proper subset ``keep``, a PureState
-        is reshaped to the (keep x rest) amplitude matrix M and reduced as
-        M M^dag, in O(k^2 rest) work without forming the D x D density.
+        State over n subsystems.  For a proper subset ``keep``, ``_block_view``
+        splits a PureState's amplitudes into the (keep x rest) matrix M, reduced
+        as M M^dag in O(k^2 rest) work without forming the D x D density.
     keep : iterable of int
         Indices of the subsystems to retain; they stay in their original
         relative order.  Keeping the full set of a DensityOperator returns
@@ -462,6 +461,6 @@ def purify(rho: PureState | DensityOperator) -> PureState:
     mask = eigenvalues > RANK_CUTOFF
     lam, vecs = eigenvalues[mask], eigenvectors[:, mask]
     amps = (vecs * np.sqrt(lam)).reshape(-1)
-    amps = amps / np.linalg.norm(amps)
+    amps = amps / np.sqrt(_squared_norms(amps))
     d = rho.signature.total
     return PureState(DimensionSignature((d, int(lam.size))), amps)

@@ -79,7 +79,7 @@ class MeasureValue:
 
     Values in [-MEASURE_ATOL, 0) are treated as roundoff and snapped to 0;
     anything more negative, or above bound + MEASURE_ATOL, is rejected.  A
-    NaN or infinite value is a numeric failure, not an input error.
+    NaN or infinite value or bound is a numeric failure, not an input error.
     """
 
     value: float
@@ -89,8 +89,8 @@ class MeasureValue:
     def __init__(self, value: float, bound: float, kind: MeasureKind) -> None:
         value = float(value)
         bound = float(bound)
-        if not math.isfinite(value):
-            raise NumericError(f"{kind.value} is not a finite number: {value!r}")
+        if not (math.isfinite(value) and math.isfinite(bound)):
+            raise NumericError(f"{kind.value} = {value!r} or its bound {bound!r} is not a finite number")
         if -MEASURE_ATOL <= value < 0.0:
             value = 0.0
         if value < 0.0:
@@ -278,7 +278,7 @@ def satisfies_offdiag_conditions(
     across the bipartition is non-negative.
     """
     left, _ = _split_bipartition(rho_full, bipartition)
-    block = _block_view(rho_full, left)
+    block = _block_view(_state_matrix(rho_full), rho_full.signature.dims, left)
     for terms in (np.einsum("ijkj->ikj", block), np.einsum("ijil->jli", block)):
         lhs = np.abs(terms.sum(axis=-1)) ** 2
         rhs = (np.abs(terms) ** 2).sum(axis=-1)

@@ -145,6 +145,29 @@ def test_pure_reduction_keeps_the_moveaxis_bits(dims):
             assert bits(got) == bits(want), keep
 
 
+@pytest.mark.parametrize("dims", [(2, 3, 2), (3, 1, 2, 2), (2,) * 5])
+def test_block_view_lays_out_vectors_and_matrices_by_keep_then_rest(dims):
+    # Every ordered keep tuple, (2, 0) and the full set included: entry [i, I] (or [i, I, j, J])
+    # is the one at the row-major flat index of the combined multi-index, keep in the order given
+    # and the rest ascending.
+    rng = np.random.default_rng(11)
+    n, total = len(dims), math.prod(dims)
+    vector = rng.standard_normal(total) + 1j * rng.standard_normal(total)
+    matrix = rng.standard_normal((total, total)) + 1j * rng.standard_normal((total, total))
+    for keep in (p for r in range(1, n + 1) for p in itertools.permutations(range(n), r)):
+        rest = [m for m in range(n) if m not in keep]
+        multi = np.zeros((n, math.prod(dims[m] for m in keep), math.prod(dims[m] for m in rest)), dtype=np.intp)
+        for i, kept in enumerate(itertools.product(*(range(dims[m]) for m in keep))):
+            for rest_i, traced in enumerate(itertools.product(*(range(dims[m]) for m in rest))):
+                multi[list(keep), i, rest_i] = kept
+                multi[rest, i, rest_i] = traced
+        flat = np.ravel_multi_index(tuple(multi), dims)
+        view = _block_view(vector, dims, keep)
+        assert bits(view) == bits(vector[flat]), keep
+        assert bits(view) == bits(vector.reshape(dims).transpose([*keep, *rest]).reshape(len(flat), -1)), keep
+        assert bits(_block_view(matrix, dims, keep)) == bits(matrix[flat[:, :, None, None], flat]), keep
+
+
 @pytest.mark.parametrize("dims", SIGNATURES)
 def test_measures_keep_the_wrapper_bits(dims):
     for rho in reduced_states(dims):
@@ -174,7 +197,7 @@ def test_nonlocal_sum_keeps_the_wrapper_bits(dims):
             reduced = partial_trace(state, [target])
             blocks = None
             if isinstance(state, DensityOperator):
-                blocks = (np.abs(_block_view(state, [target])) ** 2).sum(axis=(1, 3))
+                blocks = (np.abs(_block_view(state.matrix, dims, [target])) ** 2).sum(axis=(1, 3))
             want = wrapper_nonlocal_hs_sum(reduced.matrix, blocks)
             assert bits(_nonlocal_hs_sum(state, target, reduced.matrix)) == bits(want)
 

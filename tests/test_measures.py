@@ -80,6 +80,13 @@ def test_measure_value_rejects_non_finite(bad):
         MeasureValue(bad, 0.5, MeasureKind.C_HS)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_measure_value_rejects_a_non_finite_bound(bad):
+    # A NaN bound would never fail value > bound + MEASURE_ATOL, and an inf bound admits any value.
+    with pytest.raises(NumericError, match="not a finite number"):
+        MeasureValue(0.1, bad, MeasureKind.P_HS)
+
+
 def test_measure_value_and_report_are_slotted_frozen_records():
     mv = MeasureValue(0.25, 0.5, MeasureKind.C_HS)
     report = ccr_hs(ghz(0.6, 0.8), 0)

@@ -252,7 +252,7 @@ def test_haar_states_are_read_only_and_valid():
 SRC = Path(__file__).resolve().parents[1] / "src" / "ccrkit"
 
 
-def test_only_the_factories_and_purify_reach_the_blas_norm():
+def test_only_the_factories_and_the_jacobi_stopping_test_reach_the_blas_norm():
     # callers[name]: the module-level functions and classes of src/ that call ``name``, as
     # module.name; a call outside any of them counts as module.<module>.
     callers = defaultdict(set)
@@ -267,8 +267,9 @@ def test_only_the_factories_and_purify_reach_the_blas_norm():
                     callers[ast.unparse(node.func)].add(f"{path.stem}.{owner}")
     users = set().union(*(found for name, found in callers.items() if name.endswith("linalg.norm")))
     # The factories' normalization keeps the sweep CSV bytes; _offdiag_norm is the stopping
-    # test of purify's Jacobi solver, which only purify calls.
-    assert users <= {"states._normalized", "core.purify", "core._offdiag_norm"}
+    # test of purify's Jacobi solver, which only purify calls.  purify itself normalizes by
+    # core._squared_norms.
+    assert users <= {"states._normalized", "core._offdiag_norm"}
     assert callers["_offdiag_norm"] <= {"core._jacobi_eigh"} and callers["_jacobi_eigh"] <= {"core.purify"}
 
 
